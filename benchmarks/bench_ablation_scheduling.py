@@ -52,16 +52,19 @@ def _run_measured() -> ExperimentResult:
     """Drive the shared-memory pool, then replay its measured per-chunk
     timings through ``simulate_dynamic`` — validating that the simulator's
     imbalance story holds on real wall-clock data."""
+    from repro.engine import GraphSession
     from repro.graph.generators import chung_lu_graph
-    from repro.parallel.threadpool import ParallelCounter
 
     g = chung_lu_graph(3000, 18000, exponent=2.1, seed=7)
     rows = []
-    with ParallelCounter(g, num_workers=2) as pc:
+    with GraphSession(g) as session:
         for cpw in CHUNKS_PER_WORKER:
-            counts, stats = pc.count_all_edges(
-                chunks_per_worker=cpw, with_stats=True
-            )
+            stats = session.count(
+                backend="parallel",
+                num_workers=2,
+                chunks_per_worker=cpw,
+                collect_stats=True,
+            ).parallel_stats
             sched = stats.simulated_schedule()
             rows.append(
                 [

@@ -31,12 +31,14 @@ from repro.kernels.batch import (
     count_edges_bitmap,
 )
 from repro.kernels.batchsearch import count_edges_galloping
-from repro.parallel.threadpool import ParallelCounter, count_all_edges_parallel
+from repro.engine import GraphSession
+from repro.parallel.pool import ShardedGraph, WorkerPool
 from repro.plan import (
     clear_plan_cache,
     count_all_edges_hybrid,
     get_plan,
     plan_cache_stats,
+    plan_shards,
 )
 
 #: (dataset, scale) legs for the standalone sweep.  ``wi`` is the
@@ -82,9 +84,12 @@ if pytest is not None:
     def test_backend_parallel(benchmark, graph):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            cnt = benchmark.pedantic(
-                count_all_edges_parallel, args=(graph, 2), rounds=3, iterations=1
-            )
+            with GraphSession(graph) as session:
+                cnt = benchmark.pedantic(
+                    lambda: session.count(backend="parallel", num_workers=2).counts,
+                    rounds=3,
+                    iterations=1,
+                )
         assert cnt.sum() > 0
 
     def test_backends_agree(graph):
@@ -108,12 +113,9 @@ def _best_of(fn, rounds):
 
 def _chunk_imbalance(graph, plan, num_chunks):
     """Measured max/mean chunk-time spread for one chunking policy."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        with ParallelCounter(graph, num_workers=1, plan=plan) as pc:
-            _, stats = pc.count_all_edges(
-                chunks_per_worker=num_chunks, with_stats=True
-            )
+    export = ShardedGraph(graph, plan_shards(graph, 1, plan=plan))
+    with export, WorkerPool(export, 1) as pool:
+        _, stats = pool.count_all_edges(chunks_per_worker=num_chunks, with_stats=True)
     return stats
 
 

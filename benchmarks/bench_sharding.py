@@ -28,8 +28,7 @@ import numpy as np
 from repro.engine import GraphSession
 from repro.graph.datasets import load_dataset
 from repro.kernels.batch import count_all_edges_merge
-from repro.parallel.sharding import ShardedCounter
-from repro.parallel.threadpool import ParallelCounter
+from repro.parallel.pool import ShardedGraph, WorkerPool
 from repro.plan.shardplan import plan_shards
 
 #: The largest bundled stand-in; quick scale is sized for CI smoke.
@@ -70,7 +69,9 @@ def bench(name, scale, rounds):
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        with ShardedCounter(graph, shard_plan=shard_plan) as sharded:
+        with ShardedGraph(graph, shard_plan) as export, WorkerPool(
+            export, 1
+        ) as sharded:
             counts, stats = sharded.count_all_edges(with_stats=True)
             # Gate 1: bit-exact against the merge backend.
             assert np.array_equal(counts, expected), (
@@ -86,7 +87,9 @@ def bench(name, scale, rounds):
                 w.pid: w.rss_bytes for w in stats.per_worker()
             }
 
-        with ParallelCounter(graph, num_workers=NUM_SHARDS) as parallel:
+        with ShardedGraph(graph, plan_shards(graph, 1)) as export, WorkerPool(
+            export, NUM_SHARDS
+        ) as parallel:
             pcounts, pstats = parallel.count_all_edges(with_stats=True)
             assert np.array_equal(pcounts, expected)
             parallel_t = _best_of(parallel.count_all_edges, rounds)

@@ -213,9 +213,7 @@ def _cmd_backends(args) -> int:
             for flag, label in (
                 (s.supports_stats, "stats"),
                 (s.supports_num_workers, "workers"),
-                (s.dynamic_compatible, "dynamic"),
                 (s.supports_edge_subset, "subset"),
-                (not s.exact, "approx"),
             )
             if flag
         ]
@@ -636,14 +634,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="All-edge common neighbor counting (ICPP 2019 reproduction)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    backend_choices = ["auto", *default_registry().names()]
+    counting_choices = ["auto", *default_registry().names()]
+    backend_choices = list(counting_choices)
     # Motif runners that are not also counting backends (e.g. the
     # biclique ``hash`` path) are still valid ``--backend`` spellings.
     for m in motif_specs():
         for runner in m.runner_names():
             if runner not in backend_choices:
                 backend_choices.append(runner)
-    dynamic_choices = ["auto", *default_registry().dynamic_backends()]
 
     def add_graph_args(p):
         p.add_argument("graph", help="dataset name (lj/or/wi/tw/fr) or edge-list path")
@@ -712,7 +710,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delete", help="edge-list file of edges to delete")
     p.add_argument("--batch-size", type=int, default=0,
                    help="apply updates in batches of this size (default: one batch)")
-    p.add_argument("--backend", default="auto", choices=dynamic_choices,
+    p.add_argument("--backend", default="auto", choices=counting_choices,
                    help="backend for the initial build and batch recounts")
     p.add_argument("--workers", type=int, default=None,
                    help="worker processes for parallel batch recounts")

@@ -7,7 +7,7 @@ kernel (:mod:`repro.dynamic.delta`) — no full recount per batch.  Batches
 large enough that a recount is cheaper (``recount_fraction`` of the
 current edge count) are instead applied structurally and recounted with
 the batch backends; on large graphs the recount routes through the
-shared-memory parallel backend (:mod:`repro.parallel.threadpool`).
+shared-memory parallel backend (:mod:`repro.parallel.pool`).
 
 The dynamic overlay drives the session's *selective* invalidation: when
 the base CSR swaps (threshold compaction, a recount batch, a snapshot),
@@ -130,15 +130,8 @@ class DynamicCounter:
         self.chunks_per_worker = chunks_per_worker
         if backend != "auto":
             from repro.engine import default_registry
-            from repro.errors import AlgorithmError
 
-            registry = default_registry()
-            spec = registry.get(backend)  # raises on unknown names
-            if not spec.dynamic_compatible:
-                raise AlgorithmError(
-                    f"backend {backend!r} is not dynamic-compatible; choose "
-                    f"from {registry.dynamic_backends()}"
-                )
+            default_registry().get(backend)  # raises on unknown names
         self._session = GraphSession(graph)
         # Applied edits accumulated since the session last saw a base-CSR
         # swap; forwarded to apply_edits() at the next swap.

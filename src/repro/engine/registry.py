@@ -9,8 +9,8 @@ Adding a backend meant editing all three and hoping they stayed in sync.
 :class:`BackendRegistry` replaces them: each backend registers **once**
 as a :class:`BackendSpec` carrying its runner plus declared capabilities —
 which algorithm structure it executes, whether it can surface execution
-stats, whether it honors ``num_workers``, whether it may serve dynamic
-recounts, and whether it can count an arbitrary subset of edge offsets.
+stats, whether it honors ``num_workers``, and whether it can count an
+arbitrary subset of edge offsets.
 Every consumer (the public API, the CLI, :class:`~repro.core.dynamic.
 DynamicCounter`, the differential fuzzer, the bench harness) asks the
 registry instead of keeping its own table, so capability mismatches like
@@ -83,9 +83,6 @@ class BackendSpec:
     ``supports_num_workers``
         ``num_workers``/``chunks_per_worker`` change execution; other
         backends ignore them (documented single-process paths).
-    ``dynamic_compatible``
-        May serve :class:`~repro.core.dynamic.DynamicCounter` initial
-        builds and batch recounts.
     ``supports_edge_subset``
         Can produce counts for an arbitrary sorted subset of ``u < v``
         edge offsets (the planner uses this to farm its bitmap bucket out
@@ -97,11 +94,6 @@ class BackendSpec:
         choices with a clear error on use) but are skipped by the fuzzer
         and the bench harness — the capability flag ROADMAP item 3 calls
         for.  ``requires`` names the dependency for error messages.
-    ``exact``
-        Counts are bit-identical to the brute-force reference.  ``False``
-        marks estimators (``stream-sampled``): they are excluded from
-        bit-exact agreement sweeps and cross-checked statistically
-        instead (fuzz path + the streaming statistical test harness).
     ``motifs``
         Names of the registered motifs (see :mod:`repro.motif.spec`)
         whose structure this backend's kernels execute.  Every backend
@@ -117,13 +109,11 @@ class BackendSpec:
     algorithms: frozenset = frozenset()
     supports_stats: bool = False
     supports_num_workers: bool = False
-    dynamic_compatible: bool = True
     supports_edge_subset: bool = False
     fuzz_variants: tuple = (PathVariant(),)
     description: str = ""
     available: object = None
     requires: str = ""
-    exact: bool = True
     motifs: frozenset = frozenset({"common-neighbors"})
 
     def is_available(self) -> bool:
@@ -188,9 +178,6 @@ class BackendRegistry:
                 f"{honored or 'none'} (use backend='auto' to run "
                 f"the algorithm's own path)"
             )
-
-    def dynamic_backends(self) -> list[str]:
-        return [s.name for s in self._specs.values() if s.dynamic_compatible]
 
     def motif_backends(self, motif: str) -> list[str]:
         """Backends declaring they execute ``motif``'s structure."""
@@ -299,6 +286,12 @@ def _run_bitmap_compiled(session, **_):
     return batch.symmetric_assign(graph, cnt), None
 
 
+def _pool_count(pool, chunks_per_worker, collect_stats):
+    if collect_stats:
+        return pool.count_all_edges(chunks_per_worker, with_stats=True)
+    return pool.count_all_edges(chunks_per_worker), None
+
+
 def _run_parallel(
     session,
     *,
@@ -308,12 +301,8 @@ def _run_parallel(
     start_method=None,
     **_,
 ):
-    pool = session.worker_pool(num_workers=num_workers, start_method=start_method)
-    if collect_stats:
-        return pool.count_all_edges(
-            chunks_per_worker=chunks_per_worker, with_stats=True
-        )
-    return pool.count_all_edges(chunks_per_worker=chunks_per_worker), None
+    pool = session.pool(num_workers, start_method=start_method)
+    return _pool_count(pool, chunks_per_worker, collect_stats)
 
 
 def _run_hybrid(
@@ -336,7 +325,7 @@ def _run_hybrid(
     )
     pool = None
     if num_workers is not None and int(num_workers) != 1 and len(plan.bitmap_edges):
-        pool = session.worker_pool(num_workers=num_workers, start_method=start_method)
+        pool = session.pool(num_workers, start_method=start_method)
         if not pool.is_parallel:
             pool = None
     cnt, report = execute_plan(
@@ -355,64 +344,8 @@ def _run_sharded(
     **_,
 ):
     # ``num_workers`` doubles as the shard count: one worker per shard.
-    pool = session.sharded_counter(
-        num_shards=num_workers, start_method=start_method
-    )
-    if collect_stats:
-        return pool.count_all_edges(
-            chunks_per_shard=chunks_per_worker, with_stats=True
-        )
-    return pool.count_all_edges(chunks_per_shard=chunks_per_worker), None
-
-
-def _run_stream_exact(session, **_):
-    """Replay the graph's edges through the sliding-window engine.
-
-    Every edge is ingested as one timestamped batch under an infinite
-    window, so the snapshot's live set is exactly the input graph and the
-    counts must be bit-identical to the batch kernels — streaming's
-    equivalence anchor in the registry (and therefore the fuzzer).
-    """
-    import math
-
-    from repro.graph.build import csr_to_undirected_pairs
-    from repro.stream import StreamCounter
-
-    graph = session.graph
-    u, v = csr_to_undirected_pairs(graph)
-    with StreamCounter(
-        window=math.inf, num_vertices=graph.num_vertices
-    ) as stream:
-        stream.ingest(
-            (float(i), a, b)
-            for i, (a, b) in enumerate(zip(u.tolist(), v.tolist()))
-        )
-        return stream.snapshot().counts, None
-
-
-def _run_stream_sampled(session, *, byte_budget=None, seed=0, delta=0.05, **_):
-    """Reservoir-sampled estimates, rounded to the counts-array contract.
-
-    Approximate by design (``exact=False``): under the default budget the
-    reservoir may be smaller than the edge set, so counts carry sampling
-    error bounded by the estimator's (ε, δ) bars — see
-    :mod:`repro.stream.sampled`.
-    """
-    from repro.graph.build import csr_to_undirected_pairs
-    from repro.kernels import batch
-    from repro.stream import SampledCounter
-
-    graph = session.graph
-    u, v = csr_to_undirected_pairs(graph)
-    sampler = SampledCounter(byte_budget, seed=seed, delta=delta)
-    sampler.ingest(zip(u.tolist(), v.tolist()))
-    cnt = np.zeros(graph.num_directed_edges, dtype=np.int64)
-    src = graph.edge_sources()
-    eo = np.flatnonzero(src < graph.dst)
-    for i in eo.tolist():
-        est = sampler.edge_estimate(int(src[i]), int(graph.dst[i]))
-        cnt[i] = int(round(est["count"]))
-    return batch.symmetric_assign(graph, cnt), None
+    pool = session.pool(num_workers, sharded=True, start_method=start_method)
+    return _pool_count(pool, chunks_per_worker, collect_stats)
 
 
 def _sharded_fuzz_variants() -> tuple:
@@ -552,23 +485,6 @@ def _builtin_specs() -> list[BackendSpec]:
             ),
             motifs=_CN | _CLIQUE_MOTIFS,
             description="cost-model planner splitting edges across kernels",
-        ),
-        BackendSpec(
-            name="stream-exact",
-            run=_run_stream_exact,
-            dynamic_compatible=False,
-            fuzz_variants=(PathVariant(stride=4),),
-            description="sliding-window stream replay (exact, per-edge deltas)",
-        ),
-        BackendSpec(
-            name="stream-sampled",
-            run=_run_stream_sampled,
-            dynamic_compatible=False,
-            exact=False,
-            # No generic bit-exact fuzz path — the estimator is validated
-            # by its own statistical fuzz path (repro.fuzz.differential).
-            fuzz_variants=(),
-            description="edge-reservoir estimator (approximate, byte-budgeted)",
         ),
     ]
 

@@ -19,8 +19,9 @@ artifact            invalidated by
 ``upper_edges``     structure
 ``reorder``         structure
 ``plan:<skew>``     structure
-``shared_export``   structure (shared-memory blocks are unlinked)
-``worker_pool``     structure / a different worker configuration
+``export:<K>``      structure (shared-memory segments are unlinked)
+``pool[:sharded]``  structure / a different worker configuration / a
+                    request that failed and closed the pool
 ``mark_buffer``     vertex-count change only (survives edit batches)
 ``oriented_dag``    structure (degree ranks shift under edits)
 ``bipartite_view``  structure (an edit can create or break 2-colorability)
@@ -395,88 +396,19 @@ class GraphSession:
             deps={"structure"},
         )
 
-    def shared_export(self):
-        """The CSR exported once into named shared memory (`SharedGraph`).
+    def export(self, num_shards: int | None = 1):
+        """The CSR's shared-memory export for the worker pool
+        (:class:`~repro.parallel.pool.ShardedGraph`), memoized per
+        requested shard count.
 
-        Reused by every worker pool the session starts; unlinked on
-        invalidation or :meth:`close`.
+        ``num_shards=1`` is the CSR itself, exported once; ``None``
+        resolves K from the session's shard budget (smallest K whose
+        largest segment fits, simulator-arbitrated).  The shard plan uses
+        the session's memoized execution plan as its cost curve, so pool
+        requests never re-price the graph.  Segments are exported on first
+        use and unlinked on invalidation or :meth:`close`.
         """
-        from repro.parallel.sharedmem import SharedGraph
-
-        return self._memo(
-            "shared_export",
-            lambda: SharedGraph(self._graph),
-            deps={"structure"},
-            close=lambda shared: shared.unlink(),
-        )
-
-    def worker_pool(
-        self,
-        num_workers: int | None = None,
-        start_method: str | None = None,
-        chunks_per_worker: int = 4,
-    ):
-        """Persistent :class:`~repro.parallel.threadpool.ParallelCounter`.
-
-        Started once and reused across requests; a request with a
-        different worker count or start method rebuilds the pool (the
-        shared-memory export is kept).  ``chunks_per_worker`` is a
-        per-request knob and never forces a rebuild.
-
-        A pool that degrades to sequential execution warns **once per
-        session**: the fallback reason (single CPU, shared-memory setup
-        failure) is a property of the host, not of the request, so a warm
-        session answering many requests — or rebuilding pools for varying
-        worker counts — does not spam one ``RuntimeWarning`` per count.
-        """
-        from repro.parallel.threadpool import ParallelCounter
-
-        with self._lock:
-            method = start_method if start_method is not None else self.start_method
-            key = (
-                None if num_workers is None else int(num_workers),
-                method,
-            )
-            art = self._artifacts.get("worker_pool")
-            if art is not None and art.value[0] != key:
-                self.invalidate("worker_pool")
-                art = None
-
-            def build():
-                shared = None
-                if num_workers is None or int(num_workers) != 1:
-                    try:
-                        shared = self.shared_export()
-                    except (OSError, ValueError):
-                        shared = None  # pool retries (and may fall back) itself
-                pool = ParallelCounter(
-                    self._graph,
-                    num_workers=num_workers,
-                    chunks_per_worker=chunks_per_worker,
-                    start_method=method,
-                    shared=shared,
-                    on_fallback=self._warn_fallback_once,
-                )
-                pool.start()
-                return (key, pool)
-
-            return self._memo(
-                "worker_pool",
-                build,
-                deps={"structure"},
-                close=lambda entry: entry[1].close(),
-            )[1]
-
-    def sharded_export(self, num_shards: int | None = None):
-        """K per-shard shared-memory segments (`ShardedGraph`), memoized
-        per requested shard count.
-
-        ``num_shards=None`` resolves K from the session's shard budget
-        (smallest K whose largest segment fits, simulator-arbitrated);
-        the shard plan reuses the session's memoized execution plan as
-        the cost curve.  Unlinked on invalidation or :meth:`close`.
-        """
-        from repro.parallel.sharding import ShardedGraph
+        from repro.parallel.pool import ShardedGraph
         from repro.plan.shardplan import plan_shards
 
         def build():
@@ -491,54 +423,56 @@ class GraphSession:
             return ShardedGraph(self._graph, plan)
 
         return self._memo(
-            f"sharded_export:{num_shards if num_shards is not None else 'auto'}",
+            f"export:{num_shards if num_shards is not None else 'auto'}",
             build,
             deps={"structure"},
-            close=lambda sharded: sharded.unlink(),
+            close=lambda export: export.unlink(),
         )
 
-    def sharded_counter(
+    def pool(
         self,
-        num_shards: int | None = None,
+        num_workers: int | None = None,
+        *,
+        sharded: bool = False,
         start_method: str | None = None,
-        chunks_per_shard: int = 4,
     ):
-        """Persistent :class:`~repro.parallel.sharding.ShardedCounter`.
+        """Persistent :class:`~repro.parallel.pool.WorkerPool`, one memo
+        slot per layout.
 
-        Started once and reused across requests; a request with a
-        different shard count or start method rebuilds the pool (the
-        sharded export is kept).  Borrows :meth:`sharded_export`, so the
-        session owns segment lifetime and workers never unlink.
+        ``sharded=False`` is the one-segment layout (``parallel`` and the
+        hybrid planner's pooled bitmap bucket): ``num_workers`` workers on
+        one queue.  ``sharded=True`` runs ``num_workers`` shards with one
+        worker each (``None``: K from the shard budget).  Each layout keeps
+        its own slot, so alternating backends never restarts workers; a
+        different worker count or start method rebuilds that layout's pool
+        (the export is kept), and so does a pool a failed request closed.
+
+        A pool that degrades to sequential execution warns **once per
+        session**: the fallback reason (single CPU, shared-memory setup
+        failure) is a property of the host, not of the request.
         """
-        from repro.parallel.sharding import ShardedCounter
+        from repro.parallel.pool import WorkerPool
 
         with self._lock:
             method = start_method if start_method is not None else self.start_method
-            key = (
-                None if num_shards is None else int(num_shards),
-                method,
-            )
-            art = self._artifacts.get("sharded_pool")
-            if art is not None and art.value[0] != key:
-                self.invalidate("sharded_pool")
+            key = (None if num_workers is None else int(num_workers), method)
+            slot = "pool:sharded" if sharded else "pool"
+            art = self._artifacts.get(slot)
+            if art is not None and (art.value[0] != key or art.value[1].closed):
+                self.invalidate(slot)
 
             def build():
-                sharded = self.sharded_export(num_shards)
-                pool = ShardedCounter(
-                    self._graph,
-                    chunks_per_shard=chunks_per_shard,
+                export = self.export(key[0] if sharded else 1)
+                pool = WorkerPool(
+                    export,
+                    1 if sharded else key[0],
                     start_method=method,
-                    sharded=sharded,
                     on_fallback=self._warn_fallback_once,
                 )
-                pool.start()
-                return (key, pool)
+                return (key, pool.start())
 
             return self._memo(
-                "sharded_pool",
-                build,
-                deps={"structure"},
-                close=lambda entry: entry[1].close(),
+                slot, build, deps={"structure"}, close=lambda entry: entry[1].close()
             )[1]
 
     def _warn_fallback_once(self, message: str) -> None:

@@ -97,6 +97,17 @@ class SharedExportError(ReproError):
         self.name = name
 
 
+class WorkerPoolError(ReproError, RuntimeError):
+    """A worker-pool request failed: a worker raised, or a worker died.
+
+    The pool tears itself down before raising, so a failed request can
+    never leave results behind for the next one; a
+    :class:`~repro.engine.session.GraphSession` starts a fresh pool on its
+    next request.  Derives from ``RuntimeError`` so callers matching the
+    pool's historical failures keep working.
+    """
+
+
 class StreamOrderError(ReproError, ValueError):
     """A stream event carried a timestamp earlier than the stream clock.
 

@@ -347,6 +347,27 @@ def _run_stream_window(
         counter.close()
 
 
+def _run_stream_exact(graph: CSRGraph) -> np.ndarray:
+    """Replay the graph's edges through the sliding-window engine.
+
+    Every edge is ingested as one timestamped event under an infinite
+    window, so the snapshot's live set is exactly the input graph and the
+    counts must be bit-identical to the batch kernels — streaming's
+    equivalence anchor.
+    """
+    import math
+
+    from repro.graph.build import csr_to_undirected_pairs
+    from repro.stream import StreamCounter
+
+    u, v = csr_to_undirected_pairs(graph)
+    with StreamCounter(window=math.inf, num_vertices=graph.num_vertices) as stream:
+        stream.ingest(
+            (float(i), a, b) for i, (a, b) in enumerate(zip(u.tolist(), v.tolist()))
+        )
+        return stream.snapshot().counts
+
+
 def _run_stream_sampled_check(graph: CSRGraph) -> np.ndarray:
     """Statistical path for the reservoir estimator.
 
@@ -622,6 +643,7 @@ def _register_builtin_paths() -> None:
             register_path(name, runner, stride=variant.stride)
     register_path("count-pairs", _run_count_pairs)
     register_path("dynamic-replay", _run_dynamic_replay, kind="dynamic")
+    register_path("stream-exact", _run_stream_exact, stride=4)
     register_path("stream-window", _run_stream_window, kind="dynamic", stride=2)
     register_path("stream-sampled", _run_stream_sampled_check, stride=2)
     register_path("motif-clique-seq", _run_motif_clique_seq, stride=2)

@@ -28,16 +28,11 @@ from repro.parallel.metrics import (
     WorkerTelemetry,
 )
 from repro.parallel.sharedmem import AttachedCSR, SharedCSRHandle, SharedGraph
-from repro.parallel.threadpool import (
-    ParallelCounter,
-    count_all_edges_parallel,
-    resolve_start_method,
-)
-from repro.parallel.sharding import (
-    ShardedCounter,
+from repro.parallel.pool import (
     ShardedGraph,
     ShardHandle,
-    count_all_edges_sharded,
+    WorkerPool,
+    resolve_start_method,
 )
 from repro.parallel.skeleton import run_parallel_skeleton, SkeletonStats
 
@@ -58,13 +53,10 @@ __all__ = [
     "AttachedCSR",
     "SharedCSRHandle",
     "SharedGraph",
-    "ParallelCounter",
-    "count_all_edges_parallel",
-    "resolve_start_method",
-    "ShardedCounter",
     "ShardedGraph",
     "ShardHandle",
-    "count_all_edges_sharded",
+    "WorkerPool",
+    "resolve_start_method",
     "run_parallel_skeleton",
     "SkeletonStats",
 ]

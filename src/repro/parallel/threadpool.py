@@ -1,527 +1,10 @@
-"""Real parallel execution of all-edge counting via ``multiprocessing``.
+"""Former home of the single-export pool, kept as an import path.
 
-This is the substitute for the paper's OpenMP execution.  The vertex range
-is split into ``num_workers x chunks_per_worker`` chunks of roughly equal
-adjacency volume (the over-decomposition knob mirroring the paper's
-``|T|``), the chunks go onto a shared dynamic queue, and a **persistent
-pool of worker processes** pulls them until the queue drains — exactly the
-``schedule(dynamic)`` behavior §4 tunes.
-
-Unlike the original fork-only backend, the CSR arrays are exported once
-into named shared memory (:mod:`repro.parallel.sharedmem`) and reattached
-zero-copy in every worker, so the pool works under *any* start method —
-``fork``, ``spawn``, or ``forkserver`` — instead of silently degrading to
-sequential execution on spawn-only platforms.  A :class:`ParallelCounter`
-keeps its workers alive across requests; ``count_all_edges_parallel``
-wraps it for one-shot use.  Every chunk reports per-worker telemetry
-(:mod:`repro.parallel.metrics`).
+``benchmarks/e2e/run.py`` records the host's start method through
+``repro.parallel.threadpool.resolve_start_method``; the runtime itself
+lives in :mod:`repro.parallel.pool`.
 """
 
-from __future__ import annotations
+from repro.parallel.pool import resolve_start_method
 
-import multiprocessing as mp
-import os
-import time
-import traceback
-import warnings
-from dataclasses import replace
-from queue import Empty
-
-import numpy as np
-
-from repro.graph.csr import CSRGraph
-from repro.kernels.batch import count_edges_bitmap, symmetric_assign
-from repro.parallel.metrics import ChunkStat, ParallelStats, rss_bytes
-from repro.parallel.sharedmem import SharedCSRHandle, SharedGraph
-from repro.types import OpCounts
-
-__all__ = [
-    "ParallelCounter",
-    "count_all_edges_parallel",
-    "count_vertex_range",
-    "resolve_start_method",
-]
-
-#: Environment override for the pool's start method (used by the CI matrix
-#: to pin both the fork and the spawn leg).
-START_METHOD_ENV = "MP_START_METHOD"
-
-_STOP = None  # queue sentinel
-
-
-def count_vertex_range(
-    graph: CSRGraph,
-    lo: int,
-    hi: int,
-    counts: OpCounts | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Counts for all ``u < v`` edges whose source ``u`` lies in [lo, hi).
-
-    Returns ``(edge_offsets, counts)`` for the computed entries.  Runs the
-    degree-bucketed :func:`~repro.kernels.batch.count_edges_bitmap` kernel
-    over the range's upper edge offsets — groups of source vertices per
-    NumPy dispatch, the same code path as the sequential bitmap backend —
-    into a compact buffer aligned with the offsets.  When an
-    :class:`OpCounts` is passed, the BMP-structure work (bitmap set/test/
-    clear, word traffic, matches) is charged to it.
-    """
-    offsets = graph.offsets
-    dst = graph.dst
-    span = np.arange(int(offsets[lo]), int(offsets[hi]), dtype=np.int64)
-    src = np.searchsorted(offsets, span, side="right") - 1
-    eo = span[src < dst[span]]
-    vals = np.zeros(len(eo), dtype=np.int64)
-    if len(eo):
-        count_edges_bitmap(graph, eo, vals, counts, aligned=True)
-    return eo, vals
-
-
-def _vertex_chunks(graph: CSRGraph, num_chunks: int) -> list[tuple[int, int]]:
-    """Split vertices into chunks of roughly equal adjacency volume."""
-    n = graph.num_vertices
-    num_chunks = max(1, min(num_chunks, n)) if n else 1
-    targets = np.linspace(0, graph.num_directed_edges, num_chunks + 1)
-    bounds = np.searchsorted(graph.offsets, targets, side="left")
-    bounds[0] = 0
-    bounds[-1] = n
-    bounds = np.maximum.accumulate(bounds)
-    return [
-        (int(bounds[i]), int(bounds[i + 1]))
-        for i in range(num_chunks)
-        if bounds[i] < bounds[i + 1]
-    ]
-
-
-def resolve_start_method(start_method: str | None = None) -> str:
-    """Pick the pool's start method.
-
-    Priority: explicit argument > ``MP_START_METHOD`` environment variable
-    > ``fork`` when available (cheapest) > the platform default.  Unknown
-    or unavailable methods raise ``ValueError`` so a CI matrix leg can
-    never silently test the wrong path.
-    """
-    method = start_method or os.environ.get(START_METHOD_ENV) or None
-    available = mp.get_all_start_methods()
-    if method is None:
-        return "fork" if "fork" in available else mp.get_start_method()
-    if method not in available:
-        raise ValueError(
-            f"start method {method!r} not available on this platform "
-            f"(have {available})"
-        )
-    return method
-
-
-def _worker_main(handle: SharedCSRHandle, task_q, result_q) -> None:
-    """Worker loop: attach the shared CSR once, then serve chunk tasks.
-
-    Two task kinds share the queue: ``("range", lo, hi)`` counts a vertex
-    range (the all-edge request path), ``("edges", eo)`` counts an
-    explicit sorted array of upper edge offsets (the hybrid planner
-    farming its bitmap bucket out to the pool).
-    """
-    attached = handle.attach()
-    graph = attached.graph
-    pid = os.getpid()
-    attached_bytes = attached.nbytes()
-    while True:
-        task = task_q.get()
-        if task is _STOP:
-            break
-        try:
-            ops = OpCounts()
-            t0 = time.perf_counter()
-            if task[0] == "range":
-                _, lo, hi = task
-                eo, vals = count_vertex_range(graph, lo, hi, ops)
-            else:
-                _, eo = task
-                lo = hi = -1
-                vals = np.zeros(len(eo), dtype=np.int64)
-                if len(eo):
-                    count_edges_bitmap(graph, eo, vals, ops, aligned=True)
-            dt = time.perf_counter() - t0
-        except BaseException:  # pragma: no cover - defensive
-            result_q.put(("err", traceback.format_exc()))
-            continue
-        stat = ChunkStat(
-            pid,
-            lo,
-            hi,
-            len(eo),
-            dt,
-            ops,
-            bytes_attached=attached_bytes,
-            rss_bytes=rss_bytes(),
-        )
-        result_q.put(("ok", eo, vals, stat))
-
-
-class ParallelCounter:
-    """Persistent shared-memory counting service (context manager).
-
-    Exports the graph to shared memory and starts ``num_workers`` worker
-    processes **once**; every subsequent :meth:`count_all_edges` request
-    reuses the same workers and the same zero-copy CSR pages — no pool
-    construction, no graph pickling, no fork-time luck.
-
-    Parameters
-    ----------
-    graph:
-        The graph to serve requests for.
-    num_workers:
-        Worker process count; default ``os.cpu_count()``.  ``1`` runs
-        in-process (no pool, no shared memory).
-    chunks_per_worker:
-        Over-decomposition factor (the paper's ``|T|`` knob): more chunks
-        per worker means better dynamic load balance at slightly higher
-        queue overhead.  Can be overridden per request.
-    start_method:
-        ``fork``/``spawn``/``forkserver``; see :func:`resolve_start_method`.
-    plan:
-        ``"auto"`` (default) prices the graph through the hybrid planner
-        (:func:`repro.plan.get_plan`, cached by CSR fingerprint) and cuts
-        chunk boundaries on the cumulative *predicted cost* curve instead
-        of the adjacency-volume curve — the work-balanced partitioning the
-        paper's scaling depends on.  Pass ``None`` for the legacy
-        equal-volume chunking, or an explicit
-        :class:`~repro.plan.ExecutionPlan` to reuse one you already hold.
-        With a plan attached, every :class:`ChunkStat` carries the
-        planner's ``predicted_cost`` next to the measured seconds.
-    shared:
-        An already-exported :class:`~repro.parallel.sharedmem.SharedGraph`
-        for the same CSR, **borrowed** from the caller (typically a
-        :class:`~repro.engine.session.GraphSession`): the pool reattaches
-        it in every worker instead of exporting a second copy, and never
-        unlinks it — the owner does.
-    on_fallback:
-        Callback receiving the sequential-fallback message instead of the
-        default ``warnings.warn``.  A session that rebuilds pools across
-        many requests passes a once-per-session deduplicator here so a
-        warm session does not re-emit the same ``RuntimeWarning`` on
-        every count.
-    """
-
-    def __init__(
-        self,
-        graph: CSRGraph,
-        num_workers: int | None = None,
-        chunks_per_worker: int = 4,
-        start_method: str | None = None,
-        plan="auto",
-        shared: SharedGraph | None = None,
-        on_fallback=None,
-    ):
-        self.graph = graph
-        self.plan = plan
-        self._borrowed_shared = shared
-        self._on_fallback = on_fallback
-        self.requested_workers = max(
-            1, int(num_workers) if num_workers is not None else (os.cpu_count() or 1)
-        )
-        self._explicit_single = num_workers is not None and int(num_workers) == 1
-        self.chunks_per_worker = max(1, int(chunks_per_worker))
-        self._start_method_arg = start_method
-        self.start_method = "in-process"
-        self.effective_workers = 1
-        self.fallback_reason: str | None = None
-        self._shared: SharedGraph | None = None
-        self._procs: list = []
-        self._task_q = None
-        self._result_q = None
-        self._started = False
-        self._closed = False
-
-    # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
-    def start(self) -> "ParallelCounter":
-        """Export the graph and launch the persistent workers."""
-        if self._started:
-            return self
-        self._started = True
-        method = resolve_start_method(self._start_method_arg)
-
-        if self.requested_workers == 1:
-            if not self._explicit_single:
-                self.fallback_reason = "only one CPU available"
-            return self._finish_start_sequential()
-
-        try:
-            if self._borrowed_shared is not None:
-                self._shared = self._borrowed_shared
-            else:
-                self._shared = SharedGraph(self.graph)
-            ctx = mp.get_context(method)
-            self._task_q = ctx.Queue()
-            self._result_q = ctx.Queue()
-            procs = []
-            for _ in range(self.requested_workers):
-                p = ctx.Process(
-                    target=_worker_main,
-                    args=(self._shared.handle, self._task_q, self._result_q),
-                    daemon=True,
-                )
-                p.start()
-                procs.append(p)
-            self._procs = procs
-        except (OSError, ValueError, ImportError) as exc:
-            self._teardown_pool()
-            self.fallback_reason = f"shared-memory pool setup failed: {exc}"
-            return self._finish_start_sequential()
-
-        self.start_method = method
-        self.effective_workers = self.requested_workers
-        return self
-
-    def _finish_start_sequential(self) -> "ParallelCounter":
-        self.start_method = "in-process"
-        self.effective_workers = 1
-        if self.fallback_reason is not None:
-            requested = (
-                f" of {self.requested_workers} requested"
-                if self.requested_workers > 1
-                else ""
-            )
-            message = (
-                f"parallel backend running sequentially "
-                f"({self.fallback_reason}); effective workers = 1{requested}"
-            )
-            if self._on_fallback is not None:
-                self._on_fallback(message)
-            else:
-                warnings.warn(message, RuntimeWarning, stacklevel=3)
-        return self
-
-    @property
-    def is_parallel(self) -> bool:
-        return bool(self._procs)
-
-    def worker_pids(self) -> list[int]:
-        """PIDs of the persistent worker processes (empty when in-process)."""
-        return [p.pid for p in self._procs]
-
-    def close(self) -> None:
-        """Stop the workers and release the shared-memory blocks."""
-        if self._closed:
-            return
-        self._closed = True
-        self._teardown_pool()
-
-    def _teardown_pool(self) -> None:
-        if self._task_q is not None:
-            for _ in self._procs:
-                try:
-                    self._task_q.put(_STOP)
-                except (OSError, ValueError):  # pragma: no cover
-                    break
-        for p in self._procs:
-            p.join(timeout=10)
-        for p in self._procs:
-            if p.is_alive():  # pragma: no cover - defensive
-                p.terminate()
-                p.join(timeout=5)
-        self._procs = []
-        for q in (self._task_q, self._result_q):
-            if q is not None:
-                q.close()
-                q.join_thread()
-        self._task_q = self._result_q = None
-        if self._shared is not None:
-            if self._shared is not self._borrowed_shared:
-                self._shared.unlink()
-            self._shared = None
-
-    def __enter__(self) -> "ParallelCounter":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------ #
-    # requests
-    # ------------------------------------------------------------------ #
-    def count_all_edges(
-        self,
-        chunks_per_worker: int | None = None,
-        with_stats: bool = False,
-    ) -> np.ndarray | tuple[np.ndarray, ParallelStats]:
-        """All-edge common neighbor counts, aligned with ``graph.dst``.
-
-        With ``with_stats=True`` also returns the request's
-        :class:`~repro.parallel.metrics.ParallelStats`.
-        """
-        if not self._started:
-            self.start()
-        if self._closed:
-            raise RuntimeError("ParallelCounter is closed")
-        cpw = self.chunks_per_worker if chunks_per_worker is None else max(
-            1, int(chunks_per_worker)
-        )
-        num_chunks = self.effective_workers * cpw
-        chunks, pred_map = self._make_chunks(num_chunks)
-        cnt = np.zeros(self.graph.num_directed_edges, dtype=np.int64)
-        t0 = time.perf_counter()
-
-        if self.is_parallel:
-            chunk_stats = self._run_pool(chunks, cnt)
-        else:
-            chunk_stats = self._run_inline(chunks, cnt)
-
-        if pred_map:
-            chunk_stats = [
-                replace(s, predicted_cost=pred_map.get((s.lo, s.hi)))
-                for s in chunk_stats
-            ]
-        wall = time.perf_counter() - t0
-        counts = symmetric_assign(self.graph, cnt)
-        if not with_stats:
-            return counts
-        stats = ParallelStats(
-            requested_workers=self.requested_workers,
-            effective_workers=self.effective_workers,
-            start_method=self.start_method,
-            wall_seconds=wall,
-            chunk_stats=chunk_stats,
-            fallback_reason=self.fallback_reason,
-        )
-        return counts, stats
-
-    def _make_chunks(
-        self, num_chunks: int
-    ) -> tuple[list[tuple[int, int]], dict[tuple[int, int], float]]:
-        """Chunk boundaries plus (when planned) predicted cost per chunk."""
-        plan = self.plan
-        if plan == "auto":
-            from repro.plan import get_plan
-
-            plan = get_plan(self.graph)
-        if plan is None:
-            return _vertex_chunks(self.graph, num_chunks), {}
-        from repro.plan import weighted_vertex_chunks
-
-        n = self.graph.num_vertices
-        num_chunks = max(1, min(num_chunks, n)) if n else 1
-        bounds, predicted = weighted_vertex_chunks(plan.chunk_cost, num_chunks)
-        if not bounds:
-            return _vertex_chunks(self.graph, num_chunks), {}
-        return bounds, dict(zip(bounds, predicted))
-
-    def _run_pool(self, chunks, cnt) -> list[ChunkStat]:
-        chunk_stats: list[ChunkStat] = []
-        for eo, vals, stat in self._submit_and_collect(
-            [("range", lo, hi) for lo, hi in chunks]
-        ):
-            cnt[eo] = vals
-            chunk_stats.append(stat)
-        return chunk_stats
-
-    def _submit_and_collect(self, tasks) -> list[tuple]:
-        """Push tasks onto the shared queue, drain all results (any order)."""
-        for task in tasks:
-            self._task_q.put(task)
-        results: list[tuple] = []
-        pending = len(tasks)
-        while pending:
-            try:
-                msg = self._result_q.get(timeout=1.0)
-            except Empty:
-                dead = [p for p in self._procs if not p.is_alive()]
-                if dead:
-                    codes = [p.exitcode for p in dead]
-                    raise RuntimeError(
-                        f"{len(dead)} parallel worker(s) died "
-                        f"(exit codes {codes}) with {pending} chunks pending"
-                    )
-                continue
-            if msg[0] == "err":
-                raise RuntimeError(f"parallel worker failed:\n{msg[1]}")
-            _, eo, vals, stat = msg
-            results.append((eo, vals, stat))
-            pending -= 1
-        return results
-
-    def run_edge_chunks(
-        self, chunks: list[np.ndarray], with_stats: bool = False
-    ) -> list[tuple]:
-        """Count explicit edge-offset chunks on the pool; ``(eo, vals)`` pairs.
-
-        Each chunk is a sorted int64 array of upper (``u < v``) edge
-        offsets — the hybrid planner uses this to run its bitmap bucket
-        work-weighted across the persistent workers.  Results come back in
-        arbitrary order (callers scatter by offset).  Falls back to
-        in-process execution when the pool is sequential.
-
-        With ``with_stats=True`` each element is ``(eo, vals, ChunkStat)``
-        — edge tasks report the same per-worker telemetry (timings,
-        bytes attached, peak RSS) as range tasks, so ``--stats`` covers
-        the hybrid planner's pool-farmed bitmap bucket too.
-        """
-        if not self._started:
-            self.start()
-        if self._closed:
-            raise RuntimeError("ParallelCounter is closed")
-        chunks = [np.asarray(c, dtype=np.int64) for c in chunks if len(c)]
-        if not chunks:
-            return []
-        if not self.is_parallel:
-            pid = os.getpid()
-            out = []
-            for eo in chunks:
-                ops = OpCounts()
-                t0 = time.perf_counter()
-                vals = np.zeros(len(eo), dtype=np.int64)
-                count_edges_bitmap(self.graph, eo, vals, ops, aligned=True)
-                dt = time.perf_counter() - t0
-                if with_stats:
-                    stat = ChunkStat(
-                        pid, -1, -1, len(eo), dt, ops, rss_bytes=rss_bytes()
-                    )
-                    out.append((eo, vals, stat))
-                else:
-                    out.append((eo, vals))
-            return out
-        results = self._submit_and_collect([("edges", eo) for eo in chunks])
-        if with_stats:
-            return results
-        return [(eo, vals) for eo, vals, _ in results]
-
-    def _run_inline(self, chunks, cnt) -> list[ChunkStat]:
-        pid = os.getpid()
-        chunk_stats: list[ChunkStat] = []
-        for lo, hi in chunks:
-            ops = OpCounts()
-            t0 = time.perf_counter()
-            eo, vals = count_vertex_range(self.graph, lo, hi, ops)
-            dt = time.perf_counter() - t0
-            cnt[eo] = vals
-            chunk_stats.append(ChunkStat(pid, lo, hi, len(eo), dt, ops))
-        return chunk_stats
-
-
-def count_all_edges_parallel(
-    graph: CSRGraph,
-    num_workers: int | None = None,
-    chunks_per_worker: int = 4,
-    *,
-    start_method: str | None = None,
-    return_stats: bool = False,
-    plan="auto",
-) -> np.ndarray | tuple[np.ndarray, ParallelStats]:
-    """One-shot all-edge counts using a transient :class:`ParallelCounter`.
-
-    ``chunks_per_worker > 1`` gives the dynamic queue load balancing — the
-    same over-decomposition trade-off the paper tunes with ``|T|``.  Works
-    under every ``multiprocessing`` start method (shared-memory CSR
-    export); any fallback to sequential execution emits a
-    ``RuntimeWarning``.  For repeated requests on the same graph, keep a
-    :class:`ParallelCounter` open instead.
-    """
-    with ParallelCounter(
-        graph,
-        num_workers=num_workers,
-        chunks_per_worker=chunks_per_worker,
-        start_method=start_method,
-        plan=plan,
-    ) as counter:
-        return counter.count_all_edges(with_stats=return_stats)
+__all__ = ["resolve_start_method"]

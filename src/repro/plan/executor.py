@@ -32,6 +32,7 @@ from repro.kernels.batch import (
     symmetric_assign,
 )
 from repro.kernels.batchsearch import count_edges_galloping
+from repro.plan.chunking import weighted_vertex_chunks
 from repro.plan.planner import DEFAULT_SKEW_THRESHOLD, ExecutionPlan, get_plan
 
 __all__ = [
@@ -76,32 +77,6 @@ class HybridReport:
         return "\n".join(lines)
 
 
-def _bitmap_edge_chunks(plan: ExecutionPlan, num_chunks: int) -> list[np.ndarray]:
-    """Split the bitmap bucket into cost-balanced contiguous edge chunks.
-
-    Cuts the cumulative predicted-cost curve of ``plan.bitmap_cost`` into
-    ``num_chunks`` equal-work spans — the same work-balanced partitioning
-    the parallel backend applies per vertex, here at edge granularity.
-    """
-    eo = plan.bitmap_edges
-    m = len(eo)
-    num_chunks = max(1, min(num_chunks, m))
-    cost = plan.bitmap_cost
-    if cost is None or len(cost) != m:
-        bounds = np.linspace(0, m, num_chunks + 1).astype(np.int64)
-    else:
-        cum = np.concatenate([[0.0], np.cumsum(cost)])
-        targets = np.linspace(0.0, cum[-1], num_chunks + 1)
-        bounds = np.searchsorted(cum, targets, side="left")
-        bounds[0], bounds[-1] = 0, m
-        bounds = np.maximum.accumulate(bounds)
-    return [
-        eo[int(bounds[i]) : int(bounds[i + 1])]
-        for i in range(num_chunks)
-        if bounds[i] < bounds[i + 1]
-    ]
-
-
 def execute_plan(
     graph: CSRGraph,
     plan: ExecutionPlan,
@@ -110,10 +85,12 @@ def execute_plan(
 ) -> tuple[np.ndarray, HybridReport]:
     """Run every bucket of ``plan`` and mirror to the full count vector.
 
-    With a started :class:`~repro.parallel.threadpool.ParallelCounter` as
-    ``pool``, the bitmap bucket — the hybrid plan's dominant work on
-    real graphs — is split into ``effective_workers × chunks_per_worker``
-    cost-balanced edge chunks and farmed out to the persistent workers;
+    With a started one-segment :class:`~repro.parallel.pool.WorkerPool`
+    as ``pool``, the bitmap bucket — the hybrid plan's dominant work on
+    real graphs — is cut into ``effective_workers × chunks_per_worker``
+    contiguous edge chunks of equal predicted cost (the same
+    :func:`~repro.plan.chunking.weighted_vertex_chunks` cut the pool
+    applies per vertex) and farmed out to the persistent workers;
     the gallop and matmul buckets stay vectorized in-process.  Results
     are bit-identical either way.
     """
@@ -156,8 +133,12 @@ def execute_plan(
     t0 = time.perf_counter()
     if len(plan.bitmap_edges):
         if pool is not None and pool.is_parallel:
-            num_chunks = pool.effective_workers * max(1, int(chunks_per_worker))
-            chunks = _bitmap_edge_chunks(plan, num_chunks)
+            eo = plan.bitmap_edges
+            bounds, _ = weighted_vertex_chunks(
+                plan.bitmap_cost,
+                pool.effective_workers * max(1, int(chunks_per_worker)),
+            )
+            chunks = [eo[lo:hi] for lo, hi in bounds]
             for eo, vals in pool.run_edge_chunks(chunks):
                 cnt[eo] = vals
         else:

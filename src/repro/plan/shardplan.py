@@ -51,6 +51,8 @@ def shard_boundary(graph: CSRGraph, lo: int, hi: int) -> np.ndarray:
     set of destinations ``v >= hi`` reachable from an owned source ``u``
     with ``u < v``; destinations inside the range are owned rows already.
     """
+    if lo == 0 and hi == graph.num_vertices:
+        return np.empty(0, dtype=np.int64)
     offsets = graph.offsets
     span_lo, span_hi = int(offsets[lo]), int(offsets[hi])
     d = graph.dst[span_lo:span_hi].astype(np.int64, copy=False)

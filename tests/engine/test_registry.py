@@ -92,15 +92,13 @@ def test_every_registered_backend_agrees_bit_exactly(graph):
     """The registry *is* the coverage list: every enumerated backend must
     produce the brute-force counts bit-exactly on shared strategy graphs.
 
-    Estimators (``exact=False``) are excluded — they are validated
-    statistically by the streaming test harness — as are backends whose
-    optional dependency is absent on this host (e.g. the compiled kernels
-    under ``REPRO_COMPILED=off``).
+    Backends whose optional dependency is absent on this host (e.g. the
+    compiled kernels under ``REPRO_COMPILED=off``) are skipped.
     """
     expected = brute_force_counts(graph)
     with GraphSession(graph) as session:
         for spec in session.registry.specs():
-            if not spec.exact or not spec.is_available():
+            if not spec.is_available():
                 continue
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
@@ -112,10 +110,14 @@ def test_every_registered_backend_agrees_bit_exactly(graph):
             assert np.array_equal(got, expected), spec.name
 
 
-def test_estimator_backend_flagged_inexact():
+def test_stream_paths_live_outside_the_registry():
+    """Streaming is not a counting backend: ``stream-exact`` is a fuzz
+    path of its own and ``stream-sampled`` has its statistical one."""
+    from repro.fuzz.differential import registered_paths
+
     reg = default_registry()
-    assert not reg.get("stream-sampled").exact
-    assert reg.get("stream-exact").exact
-    # Estimators never serve DynamicCounter builds or recounts.
-    assert "stream-sampled" not in reg.dynamic_backends()
-    assert "stream-exact" not in reg.dynamic_backends()
+    for name in ("stream-exact", "stream-sampled"):
+        assert name not in reg
+        with pytest.raises(AlgorithmError, match="unknown backend"):
+            reg.get(name)
+        assert name in registered_paths()

@@ -234,14 +234,14 @@ def test_context_manager_exit_then_reuse_raises():
 # sequential-fallback warning dedup
 # --------------------------------------------------------------------- #
 def _break_shared_memory(monkeypatch):
+    import repro.parallel.pool as pool_mod
     import repro.parallel.sharedmem as sharedmem
-    import repro.parallel.threadpool as tp
 
     def boom(graph):
         raise OSError("shared memory unavailable")
 
     monkeypatch.setattr(sharedmem, "SharedGraph", boom)
-    monkeypatch.setattr(tp, "SharedGraph", boom)
+    monkeypatch.setattr(pool_mod, "SharedGraph", boom)
 
 
 def test_parallel_fallback_warns_once_per_session(monkeypatch):

@@ -1,4 +1,8 @@
-"""Sharded execution: bit-exactness, segment lifecycle, telemetry."""
+"""The worker pool's multi-segment layout (the ``sharded`` backend):
+local CSRs, bit-exactness, segment lifecycle, telemetry.
+
+Contract tests shared with the one-segment layout live in ``test_pool.py``.
+"""
 
 import numpy as np
 import pytest
@@ -8,14 +12,18 @@ from repro.core.verify import brute_force_counts
 from repro.engine import GraphSession
 from repro.graph.datasets import DATASETS, load_dataset
 from repro.kernels.batch import count_all_edges_merge
-from repro.parallel.sharding import (
-    ShardedCounter,
-    ShardedGraph,
-    build_shard_csr,
-    count_all_edges_sharded,
-)
+from repro.parallel.pool import ShardedGraph, WorkerPool, build_shard_csr
 from repro.plan.shardplan import plan_shards
 from tests.strategies import csr_graphs
+
+
+def count_all_edges_sharded(
+    graph, num_shards, *, start_method=None, return_stats=False
+):
+    """One-shot count over a throwaway ``num_shards``-segment export."""
+    with ShardedGraph(graph, plan_shards(graph, num_shards=num_shards)) as export:
+        with WorkerPool(export, 1, start_method=start_method) as pool:
+            return pool.count_all_edges(with_stats=return_stats)
 
 
 # --------------------------------------------------------------------- #
@@ -57,13 +65,13 @@ def test_sharded_bit_equal_merge_property(num_shards, graph):
 
 def test_sharded_processes_bit_exact(medium_graph):
     expected = brute_force_counts(medium_graph)
-    counter = ShardedCounter(medium_graph, num_shards=2)
-    with counter:
-        assert counter.is_parallel
-        assert len(counter.worker_pids()) == 2
-        got = counter.count_all_edges()
-        # A warm pool answers repeated requests identically.
-        again = counter.count_all_edges(chunks_per_shard=1)
+    with ShardedGraph(medium_graph, plan_shards(medium_graph, 2)) as export:
+        with WorkerPool(export, 1) as pool:
+            assert pool.is_parallel
+            assert len(pool.worker_pids()) == 2
+            got = pool.count_all_edges()
+            # A warm pool answers repeated requests identically.
+            again = pool.count_all_edges(chunks_per_worker=1)
     assert np.array_equal(got, expected)
     assert np.array_equal(again, expected)
 
@@ -84,12 +92,12 @@ def test_sharded_matches_merge_and_hybrid_on_bundled(name):
 def test_budget_driven_counter(medium_graph):
     expected = brute_force_counts(medium_graph)
     budget = plan_shards(medium_graph, num_shards=2).max_shard_bytes
-    with ShardedCounter(
-        medium_graph, budget_bytes=budget, start_method="inline"
-    ) as counter:
-        assert counter.num_shards > 1
-        assert counter.sharded.max_shard_bytes() <= budget
-        assert np.array_equal(counter.count_all_edges(), expected)
+    plan = plan_shards(medium_graph, budget_bytes=budget)
+    with ShardedGraph(medium_graph, plan) as export:
+        with WorkerPool(export, 1, start_method="inline") as pool:
+            assert export.num_shards > 1
+            assert export.max_shard_bytes() <= budget
+            assert np.array_equal(pool.count_all_edges(), expected)
 
 
 # --------------------------------------------------------------------- #
@@ -109,29 +117,19 @@ def test_counter_does_not_unlink_borrowed_segments(medium_graph):
     with ShardedGraph(
         medium_graph, plan_shards(medium_graph, num_shards=2)
     ) as sharded:
-        with ShardedCounter(
-            medium_graph, sharded=sharded, start_method="inline"
-        ) as counter:
-            counter.count_all_edges()
+        with WorkerPool(sharded, 1, start_method="inline") as pool:
+            pool.count_all_edges()
         # The borrowed export must still be attachable after pool close.
         attached = sharded.handles[0].attach()
         assert attached.graph is not None
         attached.close()
 
 
-def test_counter_closed_raises(medium_graph):
-    counter = ShardedCounter(medium_graph, num_shards=2, start_method="inline")
-    counter.start()
-    counter.close()
-    counter.close()  # idempotent
-    with pytest.raises(RuntimeError, match="closed"):
-        counter.count_all_edges()
-
-
 def test_single_shard_runs_in_process(medium_graph):
-    with ShardedCounter(medium_graph, num_shards=1) as counter:
-        assert not counter.is_parallel
-        got, stats = counter.count_all_edges(with_stats=True)
+    with ShardedGraph(medium_graph, plan_shards(medium_graph, 1)) as export:
+        with WorkerPool(export, 1) as pool:
+            assert not pool.is_parallel
+            got, stats = pool.count_all_edges(with_stats=True)
     assert np.array_equal(got, brute_force_counts(medium_graph))
     assert stats.effective_workers == 1
 
@@ -140,8 +138,7 @@ def test_single_shard_runs_in_process(medium_graph):
 # telemetry
 # --------------------------------------------------------------------- #
 def test_sharded_stats_fields(medium_graph):
-    with ShardedCounter(medium_graph, num_shards=2) as counter:
-        _, stats = counter.count_all_edges(with_stats=True)
+    _, stats = count_all_edges_sharded(medium_graph, 2, return_stats=True)
     assert stats.requested_workers == 2
     assert stats.effective_workers == 2
     assert len(stats.shard_stats) == 2
@@ -163,16 +160,16 @@ def test_sharded_stats_fields(medium_graph):
 
 def test_session_sharded_artifacts_memoized(medium_graph):
     with GraphSession(medium_graph) as session:
-        pool1 = session.sharded_counter(num_shards=2, start_method="inline")
-        pool2 = session.sharded_counter(num_shards=2, start_method="inline")
+        pool1 = session.pool(2, sharded=True, start_method="inline")
+        pool2 = session.pool(2, sharded=True, start_method="inline")
         assert pool1 is pool2
         # A different shard count rebuilds the pool (new export artifact).
-        pool3 = session.sharded_counter(num_shards=3, start_method="inline")
+        pool3 = session.pool(3, sharded=True, start_method="inline")
         assert pool3 is not pool1
         stats = session.artifact_stats()
-        assert stats["sharded_pool"].invalidations == 1
-        assert "sharded_export:2" in session.cached_artifacts()
-        assert "sharded_export:3" in session.cached_artifacts()
+        assert stats["pool:sharded"].invalidations == 1
+        assert "export:2" in session.cached_artifacts()
+        assert "export:3" in session.cached_artifacts()
 
 
 def test_session_auto_routes_on_budget(medium_graph):

@@ -1,4 +1,8 @@
-"""Unit tests for the shared-memory multiprocessing execution path."""
+"""The worker pool's one-segment layout (the ``parallel`` backend): the
+range kernel, start-method resolution, chunking and telemetry.
+
+Contract tests shared with the sharded layout live in ``test_pool.py``.
+"""
 
 import multiprocessing as mp
 import warnings
@@ -6,20 +10,53 @@ import warnings
 import numpy as np
 import pytest
 
+import repro.parallel.pool as pool_mod
+from repro.engine import GraphSession
 from repro.graph.build import csr_from_pairs
 from repro.kernels.batch import count_all_edges_bitmap, count_all_edges_matmul
-from repro.parallel.threadpool import (
-    ParallelCounter,
-    _vertex_chunks,
-    count_all_edges_parallel,
+from repro.parallel.pool import (
+    ShardedGraph,
+    WorkerPool,
     count_vertex_range,
     resolve_start_method,
 )
+from repro.plan.shardplan import plan_shards
 from repro.types import OpCounts
 
 START_METHODS = [
     m for m in ("fork", "spawn") if m in mp.get_all_start_methods()
 ]
+
+
+def count_all_edges_parallel(
+    graph, num_workers, chunks_per_worker=4, *, start_method=None, return_stats=False
+):
+    """One-shot ``parallel`` count on a throwaway session."""
+    with GraphSession(graph) as session:
+        result = session.count(
+            backend="parallel",
+            num_workers=num_workers,
+            chunks_per_worker=chunks_per_worker,
+            start_method=start_method,
+            collect_stats=return_stats,
+        )
+    if return_stats:
+        return result.counts, result.parallel_stats
+    return result.counts
+
+
+def single_segment(graph, plan="auto"):
+    """The one-segment export the ``parallel`` layout runs over."""
+    return ShardedGraph(graph, plan_shards(graph, num_shards=1, plan=plan))
+
+
+def _vertex_chunks(graph, num_chunks):
+    """Vertex ranges an in-process one-segment pool cuts on the
+    adjacency-volume curve."""
+    with single_segment(graph, plan=None) as export:
+        with WorkerPool(export, 1) as pool:
+            _, stats = pool.count_all_edges(num_chunks, with_stats=True)
+    return sorted((c.lo, c.hi) for c in stats.chunk_stats)
 
 
 def test_vertex_range_counts(medium_graph):
@@ -72,70 +109,52 @@ def test_parallel_matches_reference_single_worker(medium_graph):
     assert np.array_equal(ref, got)
 
 
-@pytest.mark.parametrize("method", START_METHODS)
-def test_parallel_matches_bitmap_under_both_start_methods(medium_graph, method):
-    """Acceptance: counts identical to the bitmap path with >1 worker under
-    fork AND spawn — the spawn leg exercises the shared-memory attach."""
-    ref = count_all_edges_bitmap(medium_graph)
-    got, stats = count_all_edges_parallel(
-        medium_graph, num_workers=2, start_method=method, return_stats=True
-    )
-    assert np.array_equal(ref, got)
-    assert stats.effective_workers == 2
-    assert stats.start_method == method
-    assert stats.fallback_reason is None
-
-
 def test_parallel_empty_graph():
     g = csr_from_pairs([], num_vertices=3)
     assert len(count_all_edges_parallel(g, num_workers=2)) == 0
 
 
 def test_persistent_pool_reuses_workers(medium_graph):
-    """Acceptance: a second request is served by the same worker processes."""
+    """A second request is served by the same worker processes."""
     ref = count_all_edges_bitmap(medium_graph)
-    with ParallelCounter(medium_graph, num_workers=2) as pc:
-        assert pc.is_parallel
-        pids_before = pc.worker_pids()
+    with single_segment(medium_graph) as export, WorkerPool(export, 2) as pool:
+        assert pool.is_parallel
+        pids_before = pool.worker_pids()
         assert len(pids_before) == 2
-        c1, s1 = pc.count_all_edges(with_stats=True)
-        c2, s2 = pc.count_all_edges(with_stats=True)
-        assert pc.worker_pids() == pids_before  # no re-creation
+        c1, s1 = pool.count_all_edges(with_stats=True)
+        c2, s2 = pool.count_all_edges(with_stats=True)
+        assert pool.worker_pids() == pids_before  # no re-creation
         assert np.array_equal(c1, ref) and np.array_equal(c2, ref)
         for stats in (s1, s2):
             assert set(c.worker_pid for c in stats.chunk_stats) <= set(pids_before)
+            assert stats.replication_factor is None and stats.shard_stats == []
 
 
 def test_persistent_pool_chunks_per_worker_override(medium_graph):
     ref = count_all_edges_bitmap(medium_graph)
-    with ParallelCounter(medium_graph, num_workers=2, chunks_per_worker=2) as pc:
-        c, s = pc.count_all_edges(chunks_per_worker=8, with_stats=True)
-        assert np.array_equal(c, ref)
-        assert s.num_chunks > 2  # over-decomposition took effect
-
-
-def test_closed_counter_rejects_requests(small_graph):
-    pc = ParallelCounter(small_graph, num_workers=1)
-    pc.start()
-    pc.close()
-    with pytest.raises(RuntimeError, match="closed"):
-        pc.count_all_edges()
+    with single_segment(medium_graph) as export:
+        with WorkerPool(export, 2) as pool:
+            c1, s1 = pool.count_all_edges(chunks_per_worker=1, with_stats=True)
+            c8, s8 = pool.count_all_edges(chunks_per_worker=8, with_stats=True)
+    assert np.array_equal(c1, ref) and np.array_equal(c8, ref)
+    assert s8.num_chunks > s1.num_chunks  # over-decomposition took effect
 
 
 def test_fallback_emits_warning(medium_graph, monkeypatch):
-    """When the shared-memory pool cannot start, the backend must degrade
-    loudly: a RuntimeWarning plus telemetry reporting 1 effective worker."""
-    import repro.parallel.threadpool as tp
+    """When the shared-memory pool cannot start, a standalone pool must
+    degrade loudly: a RuntimeWarning plus telemetry reporting 1 effective
+    worker."""
 
     def boom(graph):
         raise OSError("shared memory unavailable")
 
-    monkeypatch.setattr(tp, "SharedGraph", boom)
+    monkeypatch.setattr(pool_mod, "SharedGraph", boom)
     ref = count_all_edges_matmul(medium_graph)
-    with pytest.warns(RuntimeWarning, match="sequentially"):
-        got, stats = count_all_edges_parallel(
-            medium_graph, num_workers=2, return_stats=True
-        )
+    with single_segment(medium_graph) as export:
+        with pytest.warns(RuntimeWarning, match="sequentially"):
+            pool = WorkerPool(export, 2).start()
+        with pool:
+            got, stats = pool.count_all_edges(with_stats=True)
     assert np.array_equal(ref, got)
     assert stats.effective_workers == 1
     assert stats.requested_workers == 2

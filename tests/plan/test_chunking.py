@@ -1,8 +1,10 @@
 """Work-weighted chunk boundaries."""
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
+from repro.graph.build import csr_from_pairs
 from repro.plan import weighted_vertex_chunks
 from tests.strategies import cost_vectors
 
@@ -39,6 +41,32 @@ def test_degenerate_inputs():
     assert weighted_vertex_chunks(np.ones(3), 0)[0] == []
     bounds, _ = weighted_vertex_chunks(np.ones(2), 8)  # more chunks than work
     assert bounds[0][0] == 0 and bounds[-1][1] == 2
+
+
+@pytest.mark.parametrize(
+    "pairs,n,k",
+    [
+        pytest.param([], 3, 4, id="edgeless-vertices"),
+        pytest.param([(0, 9), (1, 9), (5, 9)], 12, 5, id="isolated-vertices"),
+        pytest.param([(0, 1), (1, 2), (2, 3)], 4, 40, id="more-chunks-than-vertices"),
+    ],
+)
+def test_degree_weights_cover_every_vertex(pairs, n, k):
+    """Adjacency volume as the weight (the unplanned balance key): ranges
+    stay monotone and cover every vertex exactly once, whatever the
+    isolated vertices or the chunk count."""
+    degrees = csr_from_pairs(pairs, num_vertices=n).degrees
+    bounds, pred = weighted_vertex_chunks(degrees, k)
+    assert 0 < len(bounds) <= n
+    assert bounds[0][0] == 0 and bounds[-1][1] == n
+    for (_, a), (b, _) in zip(bounds[:-1], bounds[1:]):
+        assert a == b
+    assert pred.sum() == degrees.sum()
+
+
+def test_empty_graph_has_no_chunks():
+    degrees = csr_from_pairs([], num_vertices=0).degrees
+    assert weighted_vertex_chunks(degrees, 4)[0] == []
 
 
 @given(cost_vectors(max_size=50), st.integers(1, 8))
