@@ -1,8 +1,9 @@
 """Algorithm layer: the paper's M baseline, MPS, and BMP.
 
-Each algorithm provides (a) exact all-edge counting and (b) the per-edge
-work model consumed by the architecture simulator.  Obtain instances via
-:func:`get_algorithm` or the registry in :mod:`repro.algorithms.base`.
+Each algorithm is the per-edge work model consumed by the architecture
+simulator; its exact counts come from the registry backend executing its
+structure.  Obtain instances via :func:`get_algorithm` or the registry in
+:mod:`repro.algorithms.base`.
 """
 
 from repro.algorithms.base import Algorithm, get_algorithm, register_algorithm, algorithm_names

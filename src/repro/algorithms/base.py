@@ -1,8 +1,9 @@
 """Algorithm interface and registry.
 
-An :class:`Algorithm` bundles the two things the paper varies per
-experiment: how counts are computed (the exact production path) and what
-work each edge costs (the model the processor simulators price).
+An :class:`Algorithm` is one of the paper's per-experiment variants as a
+work model: what each edge costs on the processor simulators.  Exact
+counts for an algorithm come from the registry backend executing its
+structure (:meth:`repro.engine.GraphSession.count`).
 """
 
 from __future__ import annotations
@@ -10,10 +11,7 @@ from __future__ import annotations
 import abc
 from typing import Callable
 
-import numpy as np
-
 from repro.errors import UnknownAlgorithmError
-from repro.graph.csr import CSRGraph
 from repro.kernels.costmodel import EdgeSet
 from repro.types import WorkVector
 
@@ -28,16 +26,11 @@ class Algorithm(abc.ABC):
     * :attr:`name` — registry key (e.g. ``"MPS"``);
     * :attr:`requires_reorder` — whether the algorithm depends on the
       degree-descending vertex ordering (BMP does, paper §2.1);
-    * :meth:`count` — exact counts aligned with ``graph.dst``;
     * :meth:`work` — per-edge :class:`WorkVector` for the simulator.
     """
 
     name: str = "abstract"
     requires_reorder: bool = False
-
-    @abc.abstractmethod
-    def count(self, graph: CSRGraph) -> np.ndarray:
-        """Exact all-edge counts, aligned with ``graph.dst``."""
 
     @abc.abstractmethod
     def work(self, es: EdgeSet) -> WorkVector:

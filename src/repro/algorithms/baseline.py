@@ -6,11 +6,7 @@ pivot-skip, no vectorization, no bitmap.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.algorithms.base import Algorithm, register_algorithm
-from repro.graph.csr import CSRGraph
-from repro.kernels.batch import count_all_edges_matmul
 from repro.kernels.costmodel import EdgeSet, merge_work
 from repro.types import WorkVector
 
@@ -22,11 +18,6 @@ class MergeBaseline(Algorithm):
 
     name = "M"
     requires_reorder = False
-
-    def count(self, graph: CSRGraph) -> np.ndarray:
-        # All exact paths produce identical counts; the production
-        # implementation is shared.  M's *cost* differs, not its output.
-        return count_all_edges_matmul(graph)
 
     def work(self, es: EdgeSet) -> WorkVector:
         return merge_work(es)

@@ -2,47 +2,19 @@
 
 BMP builds the bitmap over the *larger* neighbor set (guaranteed by the
 degree-descending reorder) and probes it with the smaller one, so each
-intersection is ``O(min(d_u, d_v))``.  The production count path runs the
-bitmap-structured counting on the reordered graph, then maps the counts
-back to the original edge offsets — demonstrating that the reorder is a
-performance transform, not a semantic one.
+intersection is ``O(min(d_u, d_v))``.  The work model assumes the
+reorder; the exact counts come from the ``bitmap`` backend, which needs
+no reorder to be exact.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.algorithms.base import Algorithm, register_algorithm
-from repro.graph.csr import CSRGraph
-from repro.graph.reorder import reorder_graph
-from repro.kernels.batch import count_all_edges_bitmap
 from repro.kernels.costmodel import EdgeSet, bmp_work
 from repro.kernels.rangefilter import DEFAULT_RANGE_SCALE
 from repro.types import WorkVector
 
-__all__ = ["BMP", "map_counts_to_original"]
-
-
-def map_counts_to_original(
-    original: CSRGraph, new_id: np.ndarray, counts_new: np.ndarray
-) -> np.ndarray:
-    """Realign counts computed on a reordered graph with the original CSR.
-
-    The reordered CSR enumerates directed edges sorted by
-    ``(new_u, new_v)``; the original CSR sorts by ``(old_u, old_v)``.
-    Lexsorting the reordered edges by their *old* endpoint ids yields, for
-    each original position, the reordered position holding its count.
-    """
-    src_old = original.edge_sources().astype(np.int64)
-    dst_old = original.dst.astype(np.int64)
-    src_new = new_id[src_old]
-    dst_new = new_id[dst_old]
-    # Position of each original edge inside the reordered CSR: rank of
-    # (src_new, dst_new) among all reordered pairs.
-    order = np.lexsort((dst_new, src_new))
-    positions = np.empty(len(order), dtype=np.int64)
-    positions[order] = np.arange(len(order))
-    return counts_new[positions]
+__all__ = ["BMP"]
 
 
 class BMP(Algorithm):
@@ -64,11 +36,6 @@ class BMP(Algorithm):
     ):
         self.range_filter = bool(range_filter)
         self.range_scale = int(range_scale)
-
-    def count(self, graph: CSRGraph) -> np.ndarray:
-        rr = reorder_graph(graph)
-        counts_new = count_all_edges_bitmap(rr.graph)
-        return map_counts_to_original(graph, rr.new_id, counts_new)
 
     def work(self, es: EdgeSet) -> WorkVector:
         return bmp_work(

@@ -12,8 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import Algorithm, register_algorithm
-from repro.graph.csr import CSRGraph
-from repro.kernels.batch import count_all_edges_matmul
 from repro.kernels.costmodel import (
     EdgeSet,
     block_merge_work,
@@ -54,9 +52,6 @@ class MPS(Algorithm):
         self.skew_threshold = float(skew_threshold)
         self.vectorized = bool(vectorized)
         self.lane_width = int(lane_width)
-
-    def count(self, graph: CSRGraph) -> np.ndarray:
-        return count_all_edges_matmul(graph)
 
     def work(self, es: EdgeSet) -> WorkVector:
         skewed = skew_mask(es, self.skew_threshold)

@@ -8,7 +8,7 @@ Commands
                 ``--motif biclique-2-2``.
 ``plan``        Inspect the hybrid planner's kernel buckets for a graph
                 (``--motif`` prices a motif count instead).
-``backends``    The backend registry: capabilities, availability, motifs.
+``backends``    The backend registry: capabilities, kernel provider, motifs.
 ``update``      Apply edge insertions/deletions with live count maintenance.
 ``serve``       Long-lived HTTP/JSON counting service with request batching.
 ``stream``      Sliding-window counting over a timestamped edge stream.
@@ -199,13 +199,15 @@ def _plan_motif(args, graph) -> int:
 
 
 def _cmd_backends(args) -> int:
+    from repro import compiled
     from repro.engine import default_registry
     from repro.motif import motif_specs
 
     reg = default_registry()
+    print(f"kernel provider: {compiled.provider() or compiled.unavailable_reason()}")
+    print()
     print(
-        f"{'backend':<16s} {'algorithms':<10s} {'capabilities':<30s} "
-        f"{'motifs':<10s} available"
+        f"{'backend':<16s} {'algorithms':<10s} {'capabilities':<30s} motifs"
     )
     for s in reg.specs():
         caps = [
@@ -218,14 +220,10 @@ def _cmd_backends(args) -> int:
             if flag
         ]
         extra = sorted(s.motifs - {"common-neighbors"})
-        if s.is_available():
-            avail = "yes"
-        else:
-            avail = f"no (requires {s.requires or 'an optional dependency'})"
         print(
             f"{s.name:<16s} {','.join(sorted(s.algorithms)) or '-':<10s} "
             f"{','.join(caps) or '-':<30s} "
-            f"{'+' + str(len(extra)) if extra else '-':<10s} {avail}"
+            f"{'+' + str(len(extra)) if extra else '-'}"
         )
     print()
     print(f"{'motif':<16s} {'arity':<6s} {'structure':<10s} {'runners':<22s} default")
@@ -445,9 +443,8 @@ def _cmd_fuzz(args) -> int:
         for w in caught:
             print(f"warning          : {w.message}", file=sys.stderr)
         if report.skipped:
-            # The recorded path cannot run here (e.g. a compiled-backend
-            # artifact on a host without the compiled provider): not a
-            # reproduction, not a crash — an explicit skip.
+            # The recorded path cannot run here (e.g. a retired backend's
+            # artifact): not a reproduction, not a crash — an explicit skip.
             print(f"result           : skipped — {report.skipped}")
             return 0
         print(f"paths run        : {', '.join(report.paths_run) or '(none)'}")

@@ -17,19 +17,25 @@ loop — through whichever *provider* the host supports:
     (:mod:`repro.compiled._ccjit`) — covers images that ship a
     toolchain but no numba wheel.
 
-When neither dependency exists the package still imports cleanly and
-:func:`available` answers ``False``: the registry entries built on top
-of it (``gallop-compiled``/``bitmap-compiled`` in
-:mod:`repro.engine.registry`) are declared unavailable, the fuzzer
-skips them, and every interpreted path behaves exactly as before.
+The provider is a host capability, not a backend.  The kernel entry
+points :func:`repro.kernels.batch.count_edges_bitmap`,
+:func:`repro.kernels.batchsearch.count_edges_galloping` and
+:func:`repro.kernels.batchsearch.batched_lower_bound` (for int32
+haystacks) call these loops whenever :func:`available` answers ``True``
+and the caller passes no :class:`~repro.types.OpCounts`, so every path
+built on them — the ``bitmap``/``gallop`` backends, the hybrid planner's
+buckets and cover probe, the pool workers, the clique base case — runs
+compiled without naming it.  Otherwise they run their interpreted
+bodies (``*_interpreted``), which stay the reference, the ``OpCounts``
+work-model path, and the only path on a host with no provider.
 
 Selection is automatic (numba, else cc, else unavailable) and can be
 forced with ``REPRO_COMPILED=numba|cc|off`` for debugging and the
 optional-dependency CI matrix.
 
-All kernels are **bit-exact** against their interpreted counterparts
-(:mod:`repro.kernels.batchsearch`, :mod:`repro.kernels.batch`) — the
-differential fuzzer cross-checks them on every registered path.
+All kernels are **bit-exact** against their interpreted counterparts;
+the tests pin both and the differential fuzzer runs on whichever the
+host selected.
 """
 
 from __future__ import annotations

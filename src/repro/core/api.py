@@ -55,10 +55,11 @@ def count_common_neighbors(
         ``"auto"`` (default), or one of the registered algorithm names
         (``M``, ``MPS``, ``BMP``, ``BMP-RF``, ...).  All algorithms
         produce identical counts — the choice affects the *work model*
-        used by :meth:`CommonNeighborCounter.simulate`, and BMP routes the
-        computation through the degree-descending reorder.  Combining an
-        explicit algorithm with an explicit backend is allowed only when
-        the backend declares it executes that algorithm's structure (see
+        used by :meth:`CommonNeighborCounter.simulate` and, with
+        ``backend="auto"``, runs the first backend executing the
+        algorithm's structure.  Combining an explicit algorithm with an
+        explicit backend is allowed only when the backend declares it
+        executes that algorithm's structure (see
         :meth:`CommonNeighborCounter.count`); incompatible pairs raise
         :class:`~repro.errors.AlgorithmError`.
     backend:
@@ -137,8 +138,9 @@ class CommonNeighborCounter:
         """Exact counts with the configured algorithm/backend.
 
         Honored combinations: an explicit algorithm with ``backend="auto"``
-        runs that algorithm's own counting path; an explicit backend with
-        ``algorithm="auto"`` runs the backend.  When *both* are explicit
+        runs the first registered backend executing its structure
+        (``M``/``MPS`` → ``merge``, ``BMP``/``BMP-RF`` → ``bitmap``); an
+        explicit backend with ``algorithm="auto"`` runs the backend.  When *both* are explicit
         the backend executes only if it declares the algorithm's structure
         in the registry — ``M``/``MPS`` (and variants) pair with ``merge``
         (MPS also with ``gallop``), ``BMP``/``BMP-RF`` pair with

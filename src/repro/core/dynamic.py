@@ -5,9 +5,9 @@ for the initial batch build and all recounts, then keeps the counts exact
 under batched edge insertions and deletions through the incremental
 kernel (:mod:`repro.dynamic.delta`) — no full recount per batch.  Batches
 large enough that a recount is cheaper (``recount_fraction`` of the
-current edge count) are instead applied structurally and recounted with
-the batch backends; on large graphs the recount routes through the
-shared-memory parallel backend (:mod:`repro.parallel.pool`).
+current edge count) are instead applied structurally and recounted
+through the session's configured backend (``auto`` by default, which
+also honors the session's shard budget).
 
 The dynamic overlay drives the session's *selective* invalidation: when
 the base CSR swaps (threshold compaction, a recount batch, a snapshot),
@@ -35,10 +35,6 @@ __all__ = ["DynamicCounter"]
 #: structural update followed by one batch recount instead of per-edge
 #: deltas (a recount is vectorized; the delta path is per-edge Python).
 DEFAULT_RECOUNT_FRACTION = 0.1
-
-#: Graphs with at least this many undirected edges recount through the
-#: shared-memory parallel backend when the backend choice is left "auto".
-PARALLEL_RECOUNT_MIN_EDGES = 150_000
 
 
 def _as_pairs(pairs) -> np.ndarray:
@@ -236,7 +232,7 @@ class DynamicCounter:
                 skipped += 1
         graph = self.overlay.compact()
         self._sync_session()
-        self._counts = _counts_dict(graph, self._full_recount(graph).counts)
+        self._counts = _counts_dict(graph, self._count_via_session(graph).counts)
         self._kernel.counts = self._counts
         self.updates_applied += inserted + deleted
         self.recounts += 1
@@ -280,22 +276,6 @@ class DynamicCounter:
             num_workers=self.num_workers,
             chunks_per_worker=self.chunks_per_worker,
         )
-
-    def _full_recount(self, graph: CSRGraph) -> EdgeCounts:
-        if (
-            self.backend == "auto"
-            and self.algorithm == "auto"
-            and graph.num_edges >= PARALLEL_RECOUNT_MIN_EDGES
-        ):
-            # Big graph, no explicit preference: use the session's
-            # shared-memory worker pool rather than a single-process
-            # batch pass.
-            return self._session.count(
-                backend="parallel",
-                num_workers=self.num_workers,
-                chunks_per_worker=self.chunks_per_worker,
-            )
-        return self._count_via_session(graph)
 
     # ------------------------------------------------------------------ #
     # snapshots / verification

@@ -87,13 +87,6 @@ class BackendSpec:
         Can produce counts for an arbitrary sorted subset of ``u < v``
         edge offsets (the planner uses this to farm its bitmap bucket out
         to the worker pool).
-    ``available``
-        Optional zero-arg callable probed at use time; ``False`` means
-        the backend's dependency is absent on this host.  Unavailable
-        backends stay *registered* (they appear in ``names()`` and CLI
-        choices with a clear error on use) but are skipped by the fuzzer
-        and the bench harness — the capability flag ROADMAP item 3 calls
-        for.  ``requires`` names the dependency for error messages.
     ``motifs``
         Names of the registered motifs (see :mod:`repro.motif.spec`)
         whose structure this backend's kernels execute.  Every backend
@@ -112,13 +105,7 @@ class BackendSpec:
     supports_edge_subset: bool = False
     fuzz_variants: tuple = (PathVariant(),)
     description: str = ""
-    available: object = None
-    requires: str = ""
     motifs: frozenset = frozenset({"common-neighbors"})
-
-    def is_available(self) -> bool:
-        """Probe the optional availability hook (no hook → available)."""
-        return bool(self.available()) if self.available is not None else True
 
 
 class BackendRegistry:
@@ -175,8 +162,7 @@ class BackendRegistry:
             raise AlgorithmError(
                 f"backend {backend!r} does not execute algorithm "
                 f"{algorithm!r}; honored backends for {algorithm_name}: "
-                f"{honored or 'none'} (use backend='auto' to run "
-                f"the algorithm's own path)"
+                f"{honored or 'none'} (backend='auto' runs the first)"
             )
 
     def motif_backends(self, motif: str) -> list[str]:
@@ -186,9 +172,9 @@ class BackendRegistry:
     def check_motif(self, backend: str, motif: str) -> BackendSpec:
         """Raise unless ``backend`` declares it can count ``motif``.
 
-        Mirrors :meth:`check_available`: the error names the capable
-        backends so CLI users get an actionable exit-code-4 message
-        instead of a KeyError deep in a runner table.
+        The error names the capable backends so CLI users get an
+        actionable exit-code-4 message instead of a KeyError deep in a
+        runner table.
         """
         spec = self.get(backend)
         if motif not in spec.motifs:
@@ -196,21 +182,6 @@ class BackendRegistry:
                 f"backend {backend!r} does not count motif {motif!r}; "
                 f"motif-capable backends: {self.motif_backends(motif) or 'none'} "
                 f"(use backend='auto' for the motif's default runner)"
-            )
-        return spec
-
-    def available_names(self) -> list[str]:
-        """Names of the backends whose dependencies are present."""
-        return [s.name for s in self._specs.values() if s.is_available()]
-
-    def check_available(self, backend: str) -> BackendSpec:
-        """The spec for ``backend``, or raise naming the missing dependency."""
-        spec = self.get(backend)
-        if not spec.is_available():
-            raise AlgorithmError(
-                f"backend {backend!r} is unavailable on this host: "
-                f"requires {spec.requires or 'an optional dependency'} "
-                f"(available backends: {self.available_names()})"
             )
         return spec
 
@@ -253,36 +224,6 @@ def _run_gallop(session, **_):
     cnt = np.zeros(graph.num_directed_edges, dtype=np.int64)
     if len(eo):
         cnt[eo] = batchsearch.count_edges_galloping(graph, eo)
-    return batch.symmetric_assign(graph, cnt), None
-
-
-def _compiled_available() -> bool:
-    from repro import compiled
-
-    return compiled.available()
-
-
-def _run_gallop_compiled(session, **_):
-    from repro import compiled
-    from repro.kernels import batch
-
-    graph = session.graph
-    eo = session.upper_edge_offsets()
-    cnt = np.zeros(graph.num_directed_edges, dtype=np.int64)
-    if len(eo):
-        cnt[eo] = compiled.count_edges_galloping_compiled(graph, eo)
-    return batch.symmetric_assign(graph, cnt), None
-
-
-def _run_bitmap_compiled(session, **_):
-    from repro import compiled
-    from repro.kernels import batch
-
-    graph = session.graph
-    eo = session.upper_edge_offsets()
-    cnt = np.zeros(graph.num_directed_edges, dtype=np.int64)
-    if len(eo):
-        compiled.count_edges_bitmap_compiled(graph, eo, cnt)
     return batch.symmetric_assign(graph, cnt), None
 
 
@@ -418,7 +359,7 @@ def _builtin_specs() -> list[BackendSpec]:
             algorithms=frozenset({"BMP"}),
             supports_edge_subset=True,
             motifs=_CN | _CLIQUE_MOTIFS | _BICLIQUE_MOTIFS,
-            description="degree-bucketed BMP mark-and-probe structure",
+            description="BMP mark-and-probe structure",
         ),
         BackendSpec(
             name="matmul",
@@ -431,25 +372,7 @@ def _builtin_specs() -> list[BackendSpec]:
             run=_run_gallop,
             algorithms=frozenset({"MPS"}),
             supports_edge_subset=True,
-            description="batched lockstep lower-bound (pivot-skip structure)",
-        ),
-        BackendSpec(
-            name="gallop-compiled",
-            run=_run_gallop_compiled,
-            algorithms=frozenset({"MPS"}),
-            supports_edge_subset=True,
-            available=_compiled_available,
-            requires="numba or a system C compiler (repro.compiled)",
-            description="galloping intersection, machine code (no interpreter)",
-        ),
-        BackendSpec(
-            name="bitmap-compiled",
-            run=_run_bitmap_compiled,
-            algorithms=frozenset({"BMP"}),
-            supports_edge_subset=True,
-            available=_compiled_available,
-            requires="numba or a system C compiler (repro.compiled)",
-            description="BMP mark/probe loop, machine code (no interpreter)",
+            description="galloping lower-bound search (pivot-skip structure)",
         ),
         BackendSpec(
             name="parallel",

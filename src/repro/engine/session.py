@@ -508,9 +508,13 @@ class GraphSession:
         dropped; ``num_workers``/``chunks_per_worker`` are honored by
         every backend declaring ``supports_num_workers`` (``parallel``
         *and* ``hybrid``, whose bitmap bucket then runs on the pool).
-        """
-        from repro.core.result import EdgeCounts
 
+        An explicit ``algorithm`` (``M``, ``MPS``, ``BMP``, ...) selects
+        the first registered backend executing its structure when
+        ``backend`` is ``"auto"`` (``M``/``MPS`` → ``merge``,
+        ``BMP``/``BMP-RF`` → ``bitmap``); an explicit pair must be one
+        the registry declares.
+        """
         with self._lock:
             self._check_open("count on")
             if algorithm != "auto":
@@ -518,16 +522,10 @@ class GraphSession:
 
                 algo = get_algorithm(algorithm)
                 if backend == "auto":
-                    if collect_stats:
-                        raise AlgorithmError(
-                            f"algorithm {algorithm!r} runs its own counting path, "
-                            "which collects no execution stats; pick a backend "
-                            "with stats capability (hybrid or parallel)"
-                        )
-                    return EdgeCounts(self._graph, algo.count(self._graph))
+                    honored = self.registry.backends_for(algo.name)
+                    backend = honored[0] if honored else self._auto_backend()
                 self.registry.check_algorithm(algorithm, algo.name, backend)
-
-            spec = self.registry.check_available(
+            spec = self.registry.get(
                 self._auto_backend() if backend == "auto" else backend
             )
             if collect_stats and not spec.supports_stats:

@@ -27,7 +27,6 @@ from repro.fuzz.differential import (
     Failure,
     FuzzReport,
     InvariantViolation,
-    refresh_paths,
     registered_paths,
     register_path,
     run_case,
@@ -52,7 +51,6 @@ __all__ = [
     "InvariantViolation",
     "generate_case",
     "load_artifact",
-    "refresh_paths",
     "register_path",
     "registered_paths",
     "replay_artifact",

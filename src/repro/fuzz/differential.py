@@ -38,7 +38,6 @@ __all__ = [
     "register_path",
     "unregister_path",
     "registered_paths",
-    "refresh_paths",
     "run_case",
     "run_fuzz",
 ]
@@ -620,23 +619,12 @@ _DEEP_CHECKED = {
 
 
 def _register_builtin_paths() -> None:
-    """One fuzz path per registry backend × declared fuzz variant.
-
-    Backends whose optional dependency is absent (``spec.is_available()``
-    false — e.g. the compiled kernels on a host with neither numba nor a
-    C toolchain) are skipped *and unregistered*, so re-invoking this
-    after flipping ``REPRO_COMPILED`` converges to the host's real
-    capability set instead of accreting stale paths.
-    """
+    """One fuzz path per registry backend × declared fuzz variant."""
     from repro.engine import default_registry
 
     for spec in default_registry().specs():
-        usable = spec.is_available()
         for variant in spec.fuzz_variants:
             name = variant.path_name(spec.name)
-            if not usable:
-                unregister_path(name)
-                continue
             runner = _DEEP_CHECKED.get(name) or _make_session_runner(
                 spec.name, dict(variant.opts)
             )
@@ -649,19 +637,6 @@ def _register_builtin_paths() -> None:
     register_path("motif-clique-seq", _run_motif_clique_seq, stride=2)
     register_path("motif-clique-planner", _run_motif_clique_planner, stride=2)
     register_path("motif-biclique", _run_motif_biclique, stride=2)
-
-
-def refresh_paths() -> list[str]:
-    """Re-derive the builtin path set from *current* backend availability.
-
-    Registration happens once at import, so a path whose optional
-    dependency disappeared afterwards (``REPRO_COMPILED`` flipped, a
-    provider cache reset) would stay registered and crash with
-    ``AlgorithmError`` when run.  Replay calls this first so "registered"
-    always means "runnable on this host right now".
-    """
-    _register_builtin_paths()
-    return registered_paths()
 
 
 _register_builtin_paths()

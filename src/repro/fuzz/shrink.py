@@ -238,13 +238,12 @@ def replay_artifact(path: str | os.PathLike, paths=None):
     """Re-run a saved reproducer; returns its :class:`CaseReport`.
 
     By default only the artifact's recorded failing path runs.  If that
-    path is not runnable on this host — its backend's optional dependency
-    is absent (say the artifact came from ``gallop-compiled`` and
-    ``REPRO_COMPILED=off`` here) — the replay is *skipped with a
+    path is no longer registered (say the artifact came from a retired
+    backend such as ``gallop-compiled``), the replay is *skipped with a
     warning* (``report.skipped`` carries the reason) rather than either
-    crashing with ``AlgorithmError`` or silently re-running every other
-    path, neither of which reproduces anything.  Pass ``paths`` to
-    override the path selection explicitly.
+    crashing with ``KeyError`` or silently re-running every other path,
+    neither of which reproduces anything.  Pass ``paths`` to override the
+    path selection explicitly.
     """
     import warnings
 
@@ -254,13 +253,11 @@ def replay_artifact(path: str | os.PathLike, paths=None):
     if paths is None:
         recorded = failure.get("path")
         if recorded is not None:
-            # Converge the path set to current availability first: a path
-            # registered at import can have lost its dependency since.
-            if recorded not in differential.refresh_paths():
+            if recorded not in differential.registered_paths():
                 reason = (
                     f"recorded path {recorded!r} is not runnable on this "
-                    f"host (its backend is unregistered or its optional "
-                    f"dependency is unavailable); skipping replay of {path}"
+                    f"host (no such registered path); skipping replay "
+                    f"of {path}"
                 )
                 warnings.warn(reason, RuntimeWarning, stacklevel=2)
                 return differential.CaseReport(case=case, skipped=reason)

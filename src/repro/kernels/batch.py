@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import compiled
 from repro.graph.csr import CSRGraph
 
 __all__ = [
@@ -32,6 +33,7 @@ __all__ = [
     "symmetric_assign",
     "count_all_edges_bitmap",
     "count_edges_bitmap",
+    "count_edges_bitmap_interpreted",
     "count_all_edges_matmul",
     "count_all_edges_merge",
     "count_edge",
@@ -90,6 +92,37 @@ def count_edges_bitmap(
 ) -> None:
     """BMP counts for sorted ``u < v`` edge offsets, written into ``cnt``.
 
+    The loop runs on the host's :mod:`repro.compiled` provider when there
+    is one and no ``ops`` is asked for; otherwise on
+    :func:`count_edges_bitmap_interpreted`, which is also the only body
+    that charges an :class:`~repro.types.OpCounts`.  Both write the same
+    counts.
+
+    ``cnt`` is indexed by edge offset by default; with ``aligned=True`` it
+    is instead aligned with ``edge_offsets`` (``cnt[i]`` receives the count
+    of ``edge_offsets[i]``), letting parallel workers fill compact
+    per-chunk buffers instead of full-size count vectors.
+    """
+    if ops is None and compiled.available():
+        compiled.count_edges_bitmap_compiled(
+            graph, edge_offsets, cnt, aligned=aligned
+        )
+    else:
+        count_edges_bitmap_interpreted(
+            graph, edge_offsets, cnt, ops, aligned=aligned
+        )
+
+
+def count_edges_bitmap_interpreted(
+    graph: CSRGraph,
+    edge_offsets: np.ndarray,
+    cnt: np.ndarray,
+    ops=None,
+    *,
+    aligned: bool = False,
+) -> None:
+    """NumPy body of :func:`count_edges_bitmap` (same arguments).
+
     Degree-bucketed execution: source vertices are processed in groups
     sized by two budgets — the stacked mark plane (``group × |V|`` bools
     ≤ :data:`BITMAP_MARK_BUDGET`) and the gathered adjacency volume
@@ -101,11 +134,6 @@ def count_edges_bitmap(
 
     When an :class:`~repro.types.OpCounts` is passed, the BMP-structure
     work (bitmap set/test/clear, word traffic, matches) is charged to it.
-
-    ``cnt`` is indexed by edge offset by default; with ``aligned=True`` it
-    is instead aligned with ``edge_offsets`` (``cnt[i]`` receives the count
-    of ``edge_offsets[i]``), letting parallel workers fill compact
-    per-chunk buffers instead of full-size count vectors.
     """
     eo = np.asarray(edge_offsets, dtype=np.int64)
     if len(eo) == 0:

@@ -19,12 +19,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import compiled
 from repro.graph.csr import CSRGraph
 from repro.types import OpCounts
 
 __all__ = [
     "batched_lower_bound",
+    "batched_lower_bound_interpreted",
     "count_edges_galloping",
+    "count_edges_galloping_interpreted",
 ]
 
 #: Flat search lanes processed per dispatch; bounds the working-set memory
@@ -39,12 +42,34 @@ def batched_lower_bound(
     targets: np.ndarray,
     ops: OpCounts | None = None,
 ) -> np.ndarray:
-    """Vectorized lower bound over many ``[lo[i], hi[i])`` segments.
+    """Lower bound over many ``[lo[i], hi[i])`` segments.
 
     For each lane ``i`` returns the smallest index ``j`` in
     ``[lo[i], hi[i])`` with ``haystack[j] >= targets[i]`` (``hi[i]`` when no
     such element).  Each segment must be sorted ascending; segments may
-    overlap and differ in length.  All lanes bisect in lockstep:
+    overlap and differ in length.
+
+    A vertex-valued (int32) haystack is searched on the host's
+    :mod:`repro.compiled` provider when there is one and no ``ops`` is
+    asked for; every other call runs
+    :func:`batched_lower_bound_interpreted`.
+    """
+    haystack = np.asarray(haystack)
+    if ops is None and haystack.dtype == np.int32 and compiled.available():
+        return compiled.batched_lower_bound_compiled(haystack, lo, hi, targets)
+    return batched_lower_bound_interpreted(haystack, lo, hi, targets, ops)
+
+
+def batched_lower_bound_interpreted(
+    haystack: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    targets: np.ndarray,
+    ops: OpCounts | None = None,
+) -> np.ndarray:
+    """NumPy body of :func:`batched_lower_bound` (same arguments).
+
+    All lanes bisect in lockstep:
     ``ceil(log2(max segment length))`` rounds of whole-array operations.
 
     When an :class:`~repro.types.OpCounts` is passed, each bisection step
@@ -95,16 +120,32 @@ def count_edges_galloping(
 ) -> np.ndarray:
     """Common neighbor counts for the given ``u < v`` edge offsets.
 
+    Intended for the planner's degree-skewed bucket, where
+    ``d_small · log2(d_large)`` beats both the bitmap gather
+    (``O(d_large)``) and the SpGEMM row share.  The loop runs on the
+    host's :mod:`repro.compiled` provider when there is one and no
+    ``ops`` is asked for; otherwise on
+    :func:`count_edges_galloping_interpreted`.  Both return the same
+    int64 array aligned with ``edge_offsets``.
+    """
+    if ops is None and compiled.available():
+        return compiled.count_edges_galloping_compiled(graph, edge_offsets)
+    return count_edges_galloping_interpreted(graph, edge_offsets, ops)
+
+
+def count_edges_galloping_interpreted(
+    graph: CSRGraph, edge_offsets: np.ndarray, ops: OpCounts | None = None
+) -> np.ndarray:
+    """NumPy body of :func:`count_edges_galloping` (same arguments).
+
     The intersection of each edge runs as a batch of lower-bound searches:
     every element of the smaller endpoint's neighbor list is located inside
     the larger endpoint's adjacency segment, then hits are segment-summed
-    per edge.  Intended for the planner's degree-skewed bucket, where
-    ``d_small · log2(d_large)`` beats both the bitmap gather
-    (``O(d_large)``) and the SpGEMM row share.
+    per edge.
 
     When an :class:`~repro.types.OpCounts` is passed, the search work is
     charged to it: every needle element streamed charges one ``seq_words``,
-    bisection steps charge through :func:`batched_lower_bound`
+    bisection steps charge through :func:`batched_lower_bound_interpreted`
     (``binary_steps`` + ``rand_words``), the per-lane verification probe
     charges one ``rand_words`` and one ``comparisons``, and each confirmed
     common neighbor charges one ``matches`` — so ``ops.matches`` always
@@ -139,11 +180,17 @@ def count_edges_galloping(
         targets = dst[_flat_gather_index(offsets[small[sl]], blk_lens)]
         hay_lo = np.repeat(offsets[large[sl]], blk_lens)
         hay_hi = np.repeat(offsets[large[sl] + 1], blk_lens)
-        pos = batched_lower_bound(dst, hay_lo, hay_hi, targets, ops)
+        pos = batched_lower_bound_interpreted(dst, hay_lo, hay_hi, targets, ops)
         found = pos < hay_hi
         found &= dst[np.minimum(pos, len(dst) - 1)] == targets
-        if len(found):
-            out[sl] = np.add.reduceat(found, _segment_starts(blk_lens))
+        # ``reduceat`` returns the element *at* a zero-length segment's
+        # start instead of an empty sum; a DAG-oriented CSR has empty
+        # ``N⁺(small)`` lists, so reduce only the non-empty segments.
+        nz = blk_lens > 0
+        if nz.any():
+            sums = np.zeros(len(blk_lens), dtype=np.int64)
+            sums[nz] = np.add.reduceat(found, _segment_starts(blk_lens)[nz])
+            out[sl] = sums
         if ops is not None:
             ops.seq_words += len(targets)  # needle elements streamed
             ops.rand_words += len(targets)  # verification gather per lane

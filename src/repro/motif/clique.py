@@ -9,9 +9,8 @@ k-clique then appears exactly once as a root vertex plus a
 intersection is the *same* sorted-adjacency intersection primitive the
 common-neighbor kernels already implement — which is why the ``bitmap``
 and ``hybrid`` runners below call straight into
-:mod:`repro.kernels.batch` / :mod:`repro.kernels.batchsearch` (and the
-compiled gallop kernel when available) for the k=3 base case and the
-per-edge seeding of deeper recursions.
+:mod:`repro.kernels.batch` / :mod:`repro.kernels.batchsearch` for the
+k=3 base case and the per-edge seeding of deeper recursions.
 
 Runners (all bit-exact, cross-checked by the differential fuzzer):
 
@@ -197,11 +196,10 @@ def _count_hybrid(
 ) -> int:
     """Planner path: per-edge kernel choice for the base intersection.
 
-    k=3 reduces entirely to batch kernels over the two buckets (the
-    compiled gallop kernel when the host has it); k≥4 seeds the marked
-    recursion from each edge's bucket-computed intersection.
+    k=3 reduces entirely to batch kernels over the two buckets; k≥4
+    seeds the marked recursion from each edge's bucket-computed
+    intersection.
     """
-    from repro import compiled
     from repro.kernels import batch, batchsearch
 
     threshold = (
@@ -211,11 +209,8 @@ def _count_hybrid(
     if k == 3:
         total = 0
         if len(gallop_eo):
-            if compiled.available():
-                vals = compiled.count_edges_galloping_compiled(dag, gallop_eo)
-            else:
-                vals = batchsearch.count_edges_galloping(dag, gallop_eo)
-            total += int(np.asarray(vals).sum())
+            vals = batchsearch.count_edges_galloping(dag, gallop_eo)
+            total += int(vals.sum())
         if len(bitmap_eo):
             cnt = np.zeros(dag.num_directed_edges, dtype=np.int64)
             batch.count_edges_bitmap(dag, bitmap_eo, cnt)

@@ -2,12 +2,12 @@
 
 Every chunk a worker pulls off the dynamic queue comes back with a
 :class:`ChunkStat` — who ran it, which vertex range, how many edge counts
-it produced, how long it took, and the kernel :class:`~repro.types.OpCounts`
-it charged.  :class:`ParallelStats` aggregates a request's chunk stats
-into per-worker utilization, throughput, and a measured load-imbalance
-figure that can be validated directly against the event-driven
-:func:`~repro.parallel.scheduler.simulate_dynamic` model (paper §4's
-``|T|`` trade-off, now observable on real wall-clock data).
+it produced and how long it took.  :class:`ParallelStats` aggregates a
+request's chunk stats into per-worker utilization, throughput, and a
+measured load-imbalance figure that can be validated directly against
+the event-driven :func:`~repro.parallel.scheduler.simulate_dynamic`
+model (paper §4's ``|T|`` trade-off, now observable on real wall-clock
+data).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.parallel.scheduler import Schedule, simulate_dynamic
-from repro.types import OpCounts
 
 __all__ = [
     "ChunkStat",
@@ -62,7 +61,6 @@ class ChunkStat:
     hi: int
     edges: int
     seconds: float
-    ops: OpCounts | None = None
     predicted_cost: float | None = None
     bytes_attached: int = 0
     shard: int | None = None
@@ -170,14 +168,6 @@ class ParallelStats:
         if not self.chunk_stats:
             return 0
         return max(c.bytes_attached for c in self.chunk_stats)
-
-    def aggregate_ops(self) -> OpCounts:
-        """Sum of the kernel op counts charged by every chunk."""
-        total = OpCounts()
-        for c in self.chunk_stats:
-            if c.ops is not None:
-                total += c.ops
-        return total
 
     @property
     def imbalance(self) -> float:
@@ -308,9 +298,4 @@ class ParallelStats:
                     f"plan accuracy    : mean chunk-share error "
                     f"{100 * err:.1f}% of mean"
                 )
-            ops = self.aggregate_ops()
-            lines.append(
-                f"kernel ops       : {ops.bitmap_set} set, {ops.bitmap_test} test, "
-                f"{ops.bitmap_clear} clear, {ops.matches} matches"
-            )
         return "\n".join(lines)

@@ -53,7 +53,6 @@ from repro.parallel.metrics import ChunkStat, ParallelStats, ShardStat, rss_byte
 from repro.parallel.sharedmem import SharedCSRHandle, SharedGraph
 from repro.plan.chunking import weighted_vertex_chunks
 from repro.plan.shardplan import ShardPlan, ShardSpec
-from repro.types import OpCounts
 
 __all__ = [
     "ShardHandle",
@@ -80,20 +79,14 @@ _POLL_SECONDS = 1.0  # result wait before the collector checks for dead workers
 
 
 def count_vertex_range(
-    graph: CSRGraph,
-    lo: int,
-    hi: int,
-    counts: OpCounts | None = None,
+    graph: CSRGraph, lo: int, hi: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Counts for all ``u < v`` edges whose source ``u`` lies in [lo, hi).
 
     Returns ``(edge_offsets, counts)`` for the computed entries.  Runs the
-    degree-bucketed :func:`~repro.kernels.batch.count_edges_bitmap` kernel
-    over the range's upper edge offsets — groups of source vertices per
-    NumPy dispatch, the same code path as the sequential bitmap backend —
-    into a compact buffer aligned with the offsets.  When an
-    :class:`OpCounts` is passed, the BMP-structure work (bitmap set/test/
-    clear, word traffic, matches) is charged to it.
+    :func:`~repro.kernels.batch.count_edges_bitmap` kernel — the same code
+    path as the sequential bitmap backend — over the range's upper edge
+    offsets into a compact buffer aligned with the offsets.
     """
     offsets = graph.offsets
     dst = graph.dst
@@ -102,7 +95,7 @@ def count_vertex_range(
     eo = span[src < dst[span]]
     vals = np.zeros(len(eo), dtype=np.int64)
     if len(eo):
-        count_edges_bitmap(graph, eo, vals, counts, aligned=True)
+        count_edges_bitmap(graph, eo, vals, aligned=True)
     return eo, vals
 
 
@@ -268,25 +261,23 @@ def _run_task(graph, delta, task, shard, nbytes) -> tuple:
     in ``[lo, hi)``; ``("edges", eo)`` counts an explicit sorted array of
     global upper-edge offsets (the hybrid planner's bitmap bucket).
     """
-    ops = OpCounts()
     t0 = time.perf_counter()
     if task[0] == "range":
         _, lo, hi = task
-        eo, vals = count_vertex_range(graph, lo, hi, ops)
+        eo, vals = count_vertex_range(graph, lo, hi)
         eo = eo + delta
     else:
         _, eo = task
         lo = hi = -1
         vals = np.zeros(len(eo), dtype=np.int64)
         if len(eo):
-            count_edges_bitmap(graph, eo - delta, vals, ops, aligned=True)
+            count_edges_bitmap(graph, eo - delta, vals, aligned=True)
     stat = ChunkStat(
         os.getpid(),
         lo,
         hi,
         len(eo),
         time.perf_counter() - t0,
-        ops,
         bytes_attached=nbytes,
         shard=shard,
         rss_bytes=rss_bytes(),
@@ -325,7 +316,9 @@ class WorkerPool:
     every later request reuses the same workers and the same zero-copy
     segments.  Requests cut each segment's owned range into
     ``workers_per_segment × chunks_per_worker`` chunks on the shard plan's
-    predicted-cost curve and queue them on that segment's queue.
+    predicted-cost curve and queue them on that segment's queue — except
+    that a segment of a multi-segment layout served by one worker is one
+    chunk.
 
     Parameters
     ----------
@@ -534,13 +527,22 @@ class WorkerPool:
 
     def _range_tasks(self, chunks_per_worker: int):
         """Per-segment ``("range", lo, hi)`` tasks cut on the shard plan's
-        cost curve, plus the predicted cost of every range."""
+        cost curve, plus the predicted cost of every range.
+
+        Chunks balance workers that share a queue.  A multi-segment layout
+        with one worker per segment has nothing to balance inside a
+        segment, and every further chunk there is one more queue round
+        trip, so each of its segments is one task.
+        """
         plan = self.export.plan
         workers = self.workers_per_segment if self._procs else 1
+        per_segment = workers * chunks_per_worker
+        if plan.num_shards > 1 and workers == 1:
+            per_segment = 1
         tasks, predicted = [], {}
         for spec in plan.shards:
             bounds, pred = weighted_vertex_chunks(
-                plan.chunk_cost[spec.lo : spec.hi], workers * chunks_per_worker
+                plan.chunk_cost[spec.lo : spec.hi], per_segment
             )
             segment = []
             for (lo, hi), cost in zip(bounds, pred):

@@ -25,9 +25,7 @@ Two provably exact classes are recognized:
     ``N(small)\\{large} = {w}`` and the count is 1 iff the wedge
     ``large – small – w`` closes, i.e. the edge ``(large, w)`` exists.
     One batched lower-bound search of ``w`` in ``N(large)`` answers a
-    whole bucket of such edges per NumPy dispatch — and runs on the
-    compiled lower-bound kernel (:mod:`repro.compiled`) when a provider
-    is available.
+    whole bucket of such edges per dispatch.
 
 Classification costs a handful of whole-array gathers; the planner
 prices the skip with :func:`repro.kernels.costmodel.cover_work` and
@@ -132,25 +130,18 @@ def probe_cover_counts(
     """0/1 counts for the probe-class edges: does ``(src, target)`` exist?
 
     One independent lower-bound search of each target in its source's
-    adjacency segment — through the compiled provider when one is
-    available, otherwise the lockstep NumPy search.
+    adjacency segment.
     """
     out = np.zeros(len(probe_src), dtype=np.int64)
     if len(probe_src) == 0:
         return out
-    from repro import compiled
+    from repro.kernels.batchsearch import batched_lower_bound
 
     offsets = graph.offsets
     dst = graph.dst
     lo = offsets[probe_src]
     hi = offsets[probe_src + 1]
-    if compiled.available():
-        tgt = probe_target.astype(np.int32, copy=False)
-        pos = compiled.batched_lower_bound_compiled(dst, lo, hi, tgt)
-    else:
-        from repro.kernels.batchsearch import batched_lower_bound
-
-        pos = batched_lower_bound(dst, lo, hi, probe_target)
+    pos = batched_lower_bound(dst, lo, hi, probe_target)
     found = pos < hi
     found &= dst[np.minimum(pos, len(dst) - 1)] == probe_target
     out[found] = 1

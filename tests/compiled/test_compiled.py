@@ -1,4 +1,5 @@
-"""Compiled kernel providers: bit-exactness, gating, fuzz registration."""
+"""Compiled kernel providers: bit-exactness, gating, and the dispatch
+that makes them the loop under every default path."""
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ def test_module_imports_cleanly_whatever_the_host_has():
         assert compiled.unavailable_reason() is None
     else:
         assert compiled.provider() is None
-        assert "numba" in compiled.unavailable_reason()
+        assert compiled.unavailable_reason()
 
 
 def test_forced_off_disables_and_names_the_reason(monkeypatch):
@@ -70,24 +71,20 @@ def test_forced_numba_unavailable_without_numba(monkeypatch):
     assert not compiled.available()
 
 
-def test_registry_specs_follow_provider_availability(monkeypatch):
+def test_registry_lists_one_backend_per_kernel(monkeypatch):
+    # The provider is a host capability, not a backend: the registry is
+    # the same with or without one, and the retired per-provider names
+    # fail like any unknown backend.
     reg = default_registry()
-    assert "gallop-compiled" in reg.names()
-    assert "bitmap-compiled" in reg.names()
-
+    with_provider = reg.names()
+    assert len(with_provider) == 7
     monkeypatch.setenv("REPRO_COMPILED", "off")
     compiled.reset_provider_cache()
-    available = reg.available_names()
-    assert "gallop-compiled" not in available
-    assert "bitmap-compiled" not in available
-    # Still *registered*: the CLI lists them; use raises a clear error.
-    assert "gallop-compiled" in reg.names()
-    with pytest.raises(AlgorithmError, match="unavailable on this host"):
-        reg.check_available("gallop-compiled")
-
+    assert reg.names() == with_provider
     with GraphSession(random_graph(0)) as session:
-        with pytest.raises(AlgorithmError, match="requires"):
-            session.count(backend="bitmap-compiled")
+        for retired in ("gallop-compiled", "bitmap-compiled"):
+            with pytest.raises(AlgorithmError, match="unknown backend"):
+                session.count(backend=retired)
 
 
 # --------------------------------------------------------------------- #
@@ -98,7 +95,7 @@ def test_registry_specs_follow_provider_availability(monkeypatch):
 def test_gallop_compiled_matches_interpreted(seed):
     g = random_graph(seed)
     eo = upper_offsets(g)
-    expected = batchsearch.count_edges_galloping(g, eo)
+    expected = batchsearch.count_edges_galloping_interpreted(g, eo)
     got = compiled.count_edges_galloping_compiled(g, eo)
     np.testing.assert_array_equal(got, expected)
 
@@ -109,7 +106,7 @@ def test_bitmap_compiled_matches_interpreted(seed):
     g = random_graph(seed)
     eo = upper_offsets(g)
     expected = np.zeros(g.num_directed_edges, dtype=np.int64)
-    batch.count_edges_bitmap(g, eo, expected)
+    batch.count_edges_bitmap_interpreted(g, eo, expected)
     got = np.zeros(g.num_directed_edges, dtype=np.int64)
     compiled.count_edges_bitmap_compiled(g, eo, got)
     np.testing.assert_array_equal(got, expected)
@@ -134,17 +131,18 @@ def test_batched_lower_bound_compiled_matches_interpreted():
     lo = rng.integers(0, 400, size=lanes)
     hi = lo + rng.integers(0, 100, size=lanes)
     targets = rng.integers(0, 1000, size=lanes).astype(np.int32)
-    expected = batchsearch.batched_lower_bound(hay, lo, hi, targets)
+    expected = batchsearch.batched_lower_bound_interpreted(hay, lo, hi, targets)
     got = compiled.batched_lower_bound_compiled(hay, lo, hi, targets)
     np.testing.assert_array_equal(got, expected)
 
 
 @needs_provider
 def test_compiled_backends_match_merge_through_session():
+    # ``bitmap`` and ``gallop`` run the provider's loops on this host.
     g = random_graph(5)
     with GraphSession(g) as session:
         ref = session.count(backend="merge").counts
-        for backend in ("gallop-compiled", "bitmap-compiled"):
+        for backend in ("gallop", "bitmap"):
             got = session.count(backend=backend).counts
             np.testing.assert_array_equal(got, ref)
 
@@ -160,42 +158,74 @@ def test_empty_graph_and_empty_subset():
 
 
 # --------------------------------------------------------------------- #
-# fuzz-path registration
+# dispatch: the provider serves every default path
 # --------------------------------------------------------------------- #
-def test_fuzzer_registers_compiled_paths_only_when_available(monkeypatch):
+def _interpreted_bodies_raise(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("interpreted kernel body ran with a provider present")
+
+    for module, name in (
+        (batch, "count_edges_bitmap_interpreted"),
+        (batchsearch, "count_edges_galloping_interpreted"),
+        (batchsearch, "batched_lower_bound_interpreted"),
+    ):
+        monkeypatch.setattr(module, name, boom)
+
+
+@needs_provider
+def test_provider_serves_every_default_path(monkeypatch):
+    from repro.graph.datasets import load_dataset
+    from repro.motif import count_cliques
+    from repro.plan import clear_plan_cache
+
+    # Skewed: the plan has gallop, cover-probe and bitmap buckets.
+    g = load_dataset("wi", scale=0.02, cache=False)
+    clear_plan_cache()
+    with GraphSession(g) as session:
+        ref = session.count(backend="merge").counts
+        plan = session.plan()
+        assert len(plan.gallop_edges) and len(plan.bitmap_edges)
+        assert len(plan.cover_probe_edges)
+        triangles = count_cliques(g, 3, backend="merge")
+        _interpreted_bodies_raise(monkeypatch)
+        for backend, opts in (
+            ("hybrid", {}),
+            ("bitmap", {}),
+            ("gallop", {}),
+            ("parallel", {"num_workers": 2, "start_method": "inline"}),
+            ("sharded", {"num_workers": 3, "start_method": "inline"}),
+        ):
+            got = session.count(backend=backend, **opts).counts
+            np.testing.assert_array_equal(got, ref, err_msg=backend)
+        # Threshold 1 puts the clique base case's edges on gallop too.
+        for threshold in (None, 1.0):
+            got = count_cliques(g, 3, backend="hybrid", skew_threshold=threshold)
+            assert got == triangles
+
+
+def test_fuzzer_registers_the_same_paths_with_or_without_a_provider(monkeypatch):
     from repro.fuzz import differential
 
-    if compiled.available():
-        differential._register_builtin_paths()
-        assert "gallop-compiled" in differential.registered_paths()
-        assert "bitmap-compiled" in differential.registered_paths()
-
+    before = differential.registered_paths()
     monkeypatch.setenv("REPRO_COMPILED", "off")
     compiled.reset_provider_cache()
     differential._register_builtin_paths()
-    assert "gallop-compiled" not in differential.registered_paths()
-    assert "bitmap-compiled" not in differential.registered_paths()
-    # Interpreted paths are untouched by the gate.
+    assert differential.registered_paths() == before
     for name in ("merge", "bitmap", "gallop", "hybrid-cold"):
-        assert name in differential.registered_paths()
-
-    monkeypatch.delenv("REPRO_COMPILED")
-    compiled.reset_provider_cache()
-    differential._register_builtin_paths()
-    if compiled.available():
-        assert "gallop-compiled" in differential.registered_paths()
+        assert name in before
+    for retired in ("gallop-compiled", "bitmap-compiled"):
+        assert retired not in before
 
 
 @needs_provider
 def test_fuzz_case_runs_compiled_paths_bit_exact():
+    # The planner and pool paths run the provider's loops.
     from repro.fuzz.differential import run_case
     from repro.fuzz.generators import generate_case
 
+    paths = ["hybrid-cold", "hybrid-warm", "sharded-inline", "merge"]
     for index in range(4):
         case = generate_case(seed=99, index=index)
-        report = run_case(
-            case, paths=["gallop-compiled", "bitmap-compiled", "merge"]
-        )
+        report = run_case(case, paths=paths)
         assert report.ok, [f.format() for f in report.failures]
-        assert "gallop-compiled" in report.paths_run
-        assert "bitmap-compiled" in report.paths_run
+        assert report.paths_run == paths

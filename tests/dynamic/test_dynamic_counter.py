@@ -72,6 +72,31 @@ def test_large_batch_routes_through_recount():
     assert counter.verify()
 
 
+def test_large_graph_recount_honors_the_shard_budget(monkeypatch):
+    # A 150k-edge ring lattice whose CSR exceeds the shard budget: the
+    # recount of an oversized batch goes where ``auto`` goes (the sharded
+    # pool) and never exports the whole CSR for a one-segment pool.
+    from repro.engine.session import SHARD_BUDGET_ENV
+    from repro.kernels.batch import count_all_edges_matmul
+
+    n = 30_000
+    src = np.repeat(np.arange(n), 5)
+    dst = (src + np.tile(np.arange(1, 6), n)) % n
+    graph = csr_from_pairs(np.column_stack([src, dst]))
+    assert graph.num_edges >= 150_000
+    monkeypatch.setenv(SHARD_BUDGET_ENV, str(0.6 * graph.memory_bytes() / 2**20))
+    rng = np.random.default_rng(0)
+    ins = rng.integers(0, n, size=(20_000, 2))
+    with DynamicCounter(graph) as counter:
+        result = counter.apply(insertions=ins[ins[:, 0] != ins[:, 1]])
+        assert result.mode == "recount"
+        stats = counter.session.artifact_stats()
+        assert stats["pool:sharded"].builds == 2  # initial count + recount
+        assert "pool" not in stats
+        snap = counter.snapshot()
+        assert np.array_equal(snap.counts, count_all_edges_matmul(snap.graph))
+
+
 def test_small_batch_stays_incremental(medium_graph):
     counter = DynamicCounter(medium_graph)
     result = counter.apply(insertions=[(0, 1), (0, 2)], deletions=None)

@@ -1,11 +1,15 @@
 """BackendRegistry capability checks + cross-backend agreement property."""
 
+import contextlib
+import os
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from repro import compiled
 from repro.core.verify import brute_force_counts
 from repro.engine import BackendSpec, BackendRegistry, GraphSession, default_registry
 from repro.errors import AlgorithmError
@@ -34,13 +38,8 @@ def test_unknown_backend_raises_with_choices():
 def test_capability_tables_match_old_contract():
     reg = default_registry()
     assert set(reg.backends_for("M")) == {"merge"}
-    assert set(reg.backends_for("MPS")) == {"merge", "gallop", "gallop-compiled"}
-    assert set(reg.backends_for("BMP")) == {
-        "bitmap",
-        "bitmap-compiled",
-        "parallel",
-        "sharded",
-    }
+    assert reg.backends_for("MPS") == ["merge", "gallop"]
+    assert reg.backends_for("BMP") == ["bitmap", "parallel", "sharded"]
     assert reg.get("parallel").supports_stats
     assert reg.get("sharded").supports_stats
     assert reg.get("sharded").supports_num_workers
@@ -86,28 +85,37 @@ def test_custom_backend_routes_through_session():
         reg.unregister("merge2")
 
 
+@contextlib.contextmanager
+def _kernel_provider(env):
+    """Run the block under the ``env`` overrides, re-probing the kernel
+    provider on entry and exit."""
+    with mock.patch.dict(os.environ, env):
+        compiled.reset_provider_cache()
+        try:
+            yield
+        finally:
+            compiled.reset_provider_cache()
+
+
 @settings(max_examples=25, deadline=None)
 @given(graph=csr_graphs(max_vertex=20, max_size=80))
 def test_every_registered_backend_agrees_bit_exactly(graph):
     """The registry *is* the coverage list: every enumerated backend must
-    produce the brute-force counts bit-exactly on shared strategy graphs.
-
-    Backends whose optional dependency is absent on this host (e.g. the
-    compiled kernels under ``REPRO_COMPILED=off``) are skipped.
+    produce the brute-force counts bit-exactly on shared strategy graphs,
+    both on the host's kernel provider and on the interpreted kernels.
     """
     expected = brute_force_counts(graph)
-    with GraphSession(graph) as session:
-        for spec in session.registry.specs():
-            if not spec.is_available():
-                continue
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                kwargs = (
-                    {"num_workers": 1} if spec.supports_num_workers else {}
-                )
-                got = session.count(backend=spec.name, **kwargs).counts
-            assert got.dtype == np.int64
-            assert np.array_equal(got, expected), spec.name
+    for env in ({}, {"REPRO_COMPILED": "off"}):
+        with _kernel_provider(env), GraphSession(graph) as session:
+            for spec in session.registry.specs():
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    kwargs = (
+                        {"num_workers": 1} if spec.supports_num_workers else {}
+                    )
+                    got = session.count(backend=spec.name, **kwargs).counts
+                assert got.dtype == np.int64
+                assert np.array_equal(got, expected), (spec.name, env)
 
 
 def test_stream_paths_live_outside_the_registry():

@@ -121,23 +121,24 @@ def test_replay_runs_recorded_path_and_passes_when_fixed(tmp_path):
 
 
 def test_replay_skips_with_warning_when_recorded_path_is_gone(tmp_path):
-    # An artifact recorded on a host with an optional dependency (say
-    # gallop-compiled under numba) must not crash — or silently re-run
-    # unrelated paths — on a host without it.  It skips, says why, and
-    # the report carries the reason.
+    # An artifact whose recorded path no longer exists (a retired backend
+    # such as bitmap-compiled) must not crash — or silently re-run
+    # unrelated paths.  It skips, says why, and the report carries the
+    # reason.
     from repro.fuzz.differential import Failure
 
     case = generate_case(3, 8)
-    path = save_artifact(
-        case, Failure("retired-backend", "mismatch", "gone"), tmp_path
-    )
-    with pytest.warns(RuntimeWarning, match="retired-backend"):
-        report = replay_artifact(path)
-    assert report.skipped is not None
-    assert "not runnable on this host" in report.skipped
-    assert report.ok  # a skip is not a reproduced failure
-    assert report.paths_run == []
-    assert report.failures == []
+    for recorded in ("retired-backend", "bitmap-compiled"):
+        path = save_artifact(
+            case, Failure(recorded, "mismatch", "gone"), tmp_path
+        )
+        with pytest.warns(RuntimeWarning, match=recorded):
+            report = replay_artifact(path)
+        assert report.skipped is not None
+        assert "not runnable on this host" in report.skipped
+        assert report.ok  # a skip is not a reproduced failure
+        assert report.paths_run == []
+        assert report.failures == []
 
 
 def test_replay_explicit_paths_override_the_recorded_path(tmp_path):

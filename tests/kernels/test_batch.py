@@ -10,9 +10,11 @@ from repro.kernels.batch import (
     count_all_edges_matmul,
     count_all_edges_merge,
     count_edge,
+    count_edges_bitmap,
     reverse_edge_offsets,
     symmetric_assign,
 )
+from repro.types import OpCounts
 
 ALL_PATHS = [count_all_edges_bitmap, count_all_edges_matmul, count_all_edges_merge]
 
@@ -95,3 +97,20 @@ def test_count_edge_non_adjacent(small_graph):
 
 def test_count_edge_with_isolated_vertex(small_graph):
     assert count_edge(small_graph, 7, 0) == 0
+
+
+def test_bitmap_kernel_charges_op_counts(medium_graph):
+    # Asking for OpCounts runs the interpreted body on any host.
+    src = medium_graph.edge_sources()
+    eo = np.flatnonzero(src < medium_graph.dst)
+    cnt = np.zeros(medium_graph.num_directed_edges, dtype=np.int64)
+    ops = OpCounts()
+    count_edges_bitmap(medium_graph, eo, cnt, ops)
+    assert ops.bitmap_set > 0
+    assert ops.bitmap_set == ops.bitmap_clear
+    assert ops.bitmap_test > 0
+    assert ops.rand_words == ops.bitmap_test
+    # Every computed count contributes its matches.
+    ref = count_all_edges_matmul(medium_graph)
+    assert np.array_equal(cnt[eo], ref[eo])
+    assert ops.matches == int(ref[eo].sum())

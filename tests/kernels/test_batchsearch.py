@@ -8,7 +8,11 @@ from repro.graph.build import csr_from_pairs
 from repro.graph.generators import chung_lu_graph, small_test_graph
 from repro.kernels import batchsearch
 from repro.kernels.batch import count_all_edges_matmul
-from repro.kernels.batchsearch import batched_lower_bound, count_edges_galloping
+from repro.kernels.batchsearch import (
+    batched_lower_bound,
+    count_edges_galloping,
+    count_edges_galloping_interpreted,
+)
 from repro.kernels.costmodel import upper_edges
 from repro.types import OpCounts
 from tests.strategies import sorted_int_arrays
@@ -69,9 +73,11 @@ def test_property_matches_per_lane_searchsorted(hay, target_vals):
 # count_edges_galloping
 # --------------------------------------------------------------------- #
 def _check_against_matmul(graph, edge_offsets):
+    # The entry point (the host's provider, if any) and the interpreted body.
     expected = count_all_edges_matmul(graph)
-    got = count_edges_galloping(graph, edge_offsets)
-    assert np.array_equal(got, expected[edge_offsets])
+    for kernel in (count_edges_galloping, count_edges_galloping_interpreted):
+        got = kernel(graph, edge_offsets)
+        assert np.array_equal(got, expected[edge_offsets]), kernel.__name__
 
 
 def test_small_graph_all_upper_edges():
@@ -101,6 +107,22 @@ def test_star_graph():
     es = upper_edges(g)
     got = count_edges_galloping(g, es.edge_offsets)
     assert got.sum() == 0  # star has no triangles
+
+
+def test_dag_with_empty_out_lists():
+    # An oriented DAG has vertices with empty N⁺ lists; an edge whose
+    # smaller list is empty counts zero rather than a neighbor lane's hit.
+    from repro.motif.clique import orient_dag
+
+    dag = orient_dag(chung_lu_graph(60, 300, exponent=2.1, seed=5))
+    src = dag.edge_sources()
+    eo = np.arange(dag.num_directed_edges)
+    expected = [
+        len(np.intersect1d(dag.neighbors(int(src[i])), dag.neighbors(int(dag.dst[i]))))
+        for i in eo
+    ]
+    for kernel in (count_edges_galloping, count_edges_galloping_interpreted):
+        assert kernel(dag, eo).tolist() == expected, kernel.__name__
 
 
 def test_empty_offsets():

@@ -4,22 +4,14 @@ import numpy as np
 import pytest
 
 from repro.parallel.metrics import ChunkStat, ParallelStats
-from repro.types import OpCounts
-
-
-def _ops(**kw) -> OpCounts:
-    c = OpCounts()
-    for k, v in kw.items():
-        setattr(c, k, v)
-    return c
 
 
 @pytest.fixture
 def stats() -> ParallelStats:
     chunks = [
-        ChunkStat(100, 0, 10, edges=40, seconds=0.2, ops=_ops(bitmap_set=5)),
-        ChunkStat(100, 10, 20, edges=60, seconds=0.1, ops=_ops(bitmap_set=3)),
-        ChunkStat(200, 20, 40, edges=100, seconds=0.5, ops=_ops(bitmap_set=8)),
+        ChunkStat(100, 0, 10, edges=40, seconds=0.2),
+        ChunkStat(100, 10, 20, edges=60, seconds=0.1),
+        ChunkStat(200, 20, 40, edges=100, seconds=0.5),
     ]
     return ParallelStats(
         requested_workers=2,
@@ -55,15 +47,6 @@ def test_imbalance_counts_idle_workers():
     s = ParallelStats(4, 4, "fork", 1.0, [ChunkStat(1, 0, 5, 10, 0.8)])
     # One busy worker out of four: max/mean = 0.8 / 0.2.
     assert s.imbalance == pytest.approx(3.0)
-
-
-def test_aggregate_ops(stats):
-    assert stats.aggregate_ops().bitmap_set == 16
-
-
-def test_aggregate_ops_tolerates_missing():
-    s = ParallelStats(1, 1, "in-process", 0.1, [ChunkStat(1, 0, 5, 10, 0.1)])
-    assert s.aggregate_ops().bitmap_set == 0
 
 
 def test_chunk_seconds_in_queue_order(stats):

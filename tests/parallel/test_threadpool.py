@@ -21,7 +21,6 @@ from repro.parallel.pool import (
     resolve_start_method,
 )
 from repro.plan.shardplan import plan_shards
-from repro.types import OpCounts
 
 START_METHODS = [
     m for m in ("fork", "spawn") if m in mp.get_all_start_methods()
@@ -88,19 +87,6 @@ def test_vertex_range_isolated_vertices():
     ref = count_all_edges_bitmap(g)
     eo, vals = count_vertex_range(g, 0, 6)
     assert np.array_equal(ref[eo], vals)
-
-
-def test_vertex_range_charges_op_counts(medium_graph):
-    ops = OpCounts()
-    count_vertex_range(medium_graph, 0, medium_graph.num_vertices, ops)
-    assert ops.bitmap_set > 0
-    assert ops.bitmap_set == ops.bitmap_clear
-    assert ops.bitmap_test > 0
-    assert ops.rand_words == ops.bitmap_test
-    # Every computed count contributes its matches.
-    ref = count_all_edges_matmul(medium_graph)
-    src = medium_graph.edge_sources()
-    assert ops.matches == int(ref[src < medium_graph.dst].sum())
 
 
 def test_parallel_matches_reference_single_worker(medium_graph):

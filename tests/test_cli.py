@@ -51,6 +51,25 @@ def test_count_backends(capsys):
     assert code == 0
 
 
+def test_backends_names_the_kernel_provider(capsys, monkeypatch):
+    from repro import compiled
+
+    compiled.reset_provider_cache()
+    try:
+        code, out = run(capsys, "backends")
+        assert code == 0
+        expected = compiled.provider() or compiled.unavailable_reason()
+        assert f"kernel provider: {expected}\n" in out
+        monkeypatch.setenv("REPRO_COMPILED", "off")
+        compiled.reset_provider_cache()
+        code, out = run(capsys, "backends")
+        assert code == 0
+        assert "kernel provider: compiled kernels disabled via REPRO_COMPILED=off" in out
+    finally:
+        monkeypatch.undo()
+        compiled.reset_provider_cache()
+
+
 def test_count_workers_stats(capsys):
     code, out = run(
         capsys, "count", "lj", "--scale", "0.05",
@@ -61,7 +80,7 @@ def test_count_workers_stats(capsys):
     # --workers/--stats route through the parallel backend and print the
     # per-worker telemetry block.
     assert "workers          : 2 effective / 2 requested" in out
-    assert "chunks" in out and "imbalance" in out and "kernel ops" in out
+    assert "chunks" in out and "imbalance" in out
 
 
 def test_update_insert_and_delete(capsys, tmp_path):
